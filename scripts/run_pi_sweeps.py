@@ -33,7 +33,6 @@ def main() -> None:
     ap.add_argument("--max-radius", type=int, default=10000)
     ap.add_argument("--samples", type=int, default=25)
     ap.add_argument("--out-dir", default="out/sweeps")
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
     radii = log_radii(args.min_radius, args.max_radius, args.samples)
@@ -42,7 +41,7 @@ def main() -> None:
 
     print(f"{len(radii)} radii from {radii[0]} to {radii[-1]}")
     for estimator, source in PAIRS:
-        records = sweep(radii, estimator, source, max_workers=args.workers)
+        records = sweep(radii, estimator, source)
         path = out_dir / f"{estimator.value}_{source.value}.csv"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("r,estimator,source,value,target,abs_error\n")

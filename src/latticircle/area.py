@@ -18,13 +18,16 @@ from latticircle.signum import CostVariant, QuadrantTrace, generate_quadrant
 def area_recursive(trace: QuadrantTrace) -> int:
     """Cells under the quarter path: sum of x over upward steps n <= 2r - 2.
 
-    The final decision of the trace never contributes (it is always a
-    leftward step), so the sum over the first 2r - 1 decisions is the whole
-    quarter-disc area.
+    The sum is read off the Manhattan distances a_n streamed from the step
+    array, through sum(a_n) = 2 area + r^2 (the harmonic identity
+    1/H = area/(4r^2) + 1/8).  Proof: the path makes r up steps, the j-th
+    at index k_j with x = r - k_j + j (because x_n - y_n = r - n), so
+    area = r^2 + r(r-1)/2 - sum(k_j); each raises y at the 2r - 1 - k_j
+    later points, so sum(y_n) = r(2r - 1) - sum(k_j) = area + (r^2 - r)/2;
+    and sum(a_n) = 2 sum(y_n) + sum(r - n) = 2 sum(y_n) + r.
     """
-    xs = trace.xs
-    signs = trace.signs
-    return sum(xs[n] for n in range(2 * trace.radius - 1) if signs[n] > 0)
+    r = trace.radius
+    return (sum(trace.iter_l1_dists()) - r * r) // 2
 
 
 def inner_outer_areas(r: int) -> tuple[int, int]:

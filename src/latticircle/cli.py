@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from typing import Sequence
 
@@ -84,14 +83,6 @@ def _parse_radii_spec(spec: str) -> list[int]:
     if not radii or any(r < 1 for r in radii):
         raise _CliError(f"bad radii spec {spec!r}", 1)
     return sorted(set(radii))
-
-
-def _worker_cap() -> int:
-    raw = os.environ.get("LATTICIRCLE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise _CliError(f"LATTICIRCLE_THREADS must be an integer, not {raw!r}", 1)
 
 
 def _trace_csv(trace) -> str:
@@ -200,7 +191,6 @@ def _cmd_sweep(args) -> int:
         Estimator(args.estimator),
         DiscretizationSource(args.source),
         CostVariant(args.cost),
-        max_workers=_worker_cap(),
     )
     lines = ["r,estimator,source,value,target,abs_error"]
     lines.extend(_record_line(rec) for rec in records)

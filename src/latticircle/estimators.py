@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -46,7 +45,11 @@ class PiSequence:
     radius: int
     source: DiscretizationSource
     l1_values: tuple
-    pi_values: tuple[float, ...]
+
+    @property
+    def pi_values(self) -> tuple[float, ...]:
+        """The ratios 4r / a_n, computed on each access; no estimator reads them."""
+        return tuple(4 * self.radius / a for a in self.l1_values)
 
 
 def pi_sequence(
@@ -71,15 +74,10 @@ def pi_sequence(
         l1s = [a_param_round(radius, n) for n in range(2 * radius)]
     else:
         raise ValueError("midpoint baseline has no 2r-sample pi sequence")
-    for a in l1s:
-        if a <= 0:
-            raise ValueError(f"nonpositive Manhattan distance {a} at radius {radius}")
-    return PiSequence(
-        radius=radius,
-        source=source,
-        l1_values=tuple(l1s),
-        pi_values=tuple(4 * radius / a for a in l1s),
-    )
+    low = min(l1s)
+    if low <= 0:
+        raise ValueError(f"nonpositive Manhattan distance {low} at radius {radius}")
+    return PiSequence(radius=radius, source=source, l1_values=tuple(l1s))
 
 
 def arithmetic_mean_pi(seq: PiSequence) -> float:
@@ -162,13 +160,8 @@ def sweep(
     estimator: Estimator,
     source: DiscretizationSource,
     variant: CostVariant = CostVariant.EXACT,
-    max_workers: int | None = None,
 ) -> list[ConvergenceRecord]:
-    """One convergence record per radius, in input order.
-
-    ``max_workers`` > 1 evaluates radii in a thread pool; results keep the
-    input order either way, so output never depends on scheduling.
-    """
+    """One convergence record per radius, in input order."""
     if not radii:
         raise ValueError("radii must be nonempty")
     for r in radii:
@@ -194,7 +187,4 @@ def sweep(
             target_note=note,
         )
 
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(one, radii))
     return [one(r) for r in radii]

@@ -7,7 +7,7 @@ roots are resolved by repeated squaring in integer arithmetic, so every
 platform produces the same trace and no radius overflows (Python integers
 are unbounded).
 
-Three equivalent step deciders are provided:
+Three equivalent step deciders are provided as the reference predicates:
 
 * ``cost_exact``     compares the radial deviations of the two candidate
                      points directly,
@@ -15,12 +15,20 @@ Three equivalent step deciders are provided:
                      coordinates a = x + y and c = x - y - 1,
 * ``cost_approx``    drops the square roots altogether and keeps only the
                      quadratic term; it is admitted for radius >= 5.
+
+The exact trace itself is produced by ``_walk_midpoint``, an additions-only
+second-order midpoint walker whose decisions equal ``cost_exact``'s on every
+state (the proof is in ``generate_quadrant``).  A trace stores one signed
+byte per step; points, distances and running sums are derived from it.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 
 from latticircle.lattice import Point, rotate90
 
@@ -89,9 +97,11 @@ def cost_simplified(a: int, c: int, r: int) -> int:
 def cost_approx(a: int, c: int, r: int) -> int:
     """Integer-only step decision: -sgn(a^2 + c^2 + 1 - 2 r^2).
 
-    Keeping just the quadratic term of the simplified decision never flips
-    a sign for integer states once r >= 5 (the dropped terms are too small
-    to cross an integer boundary), so the variant is admitted only there.
+    On a lattice state (a = x + y, c = x - y - 1) the quadratic equals 2d,
+    with d the midpoint decision variable of ``_walk_midpoint``, so this is
+    the midpoint rule, and it agrees with ``cost_exact`` at every radius
+    r >= 1 (see ``generate_quadrant``).  The r >= 5 guard is the domain the
+    paper documents for this variant, not a correctness bound.
     """
     if r < 5:
         raise ValueError("approx requires radius ≥ 5")
@@ -104,23 +114,94 @@ def cost_approx(a: int, c: int, r: int) -> int:
 class QuadrantTrace:
     """Complete record of one quarter-circle recursion.
 
-    Index n runs over the 2r generated points.  ``signs[n]`` is the step
-    decision taken at point n (+1 up, -1 left), ``l1_dists[n]`` the
-    Manhattan distance x + y of point n from the center, and
-    ``sign_sums[n]`` the running sum of decisions up to and including n.
+    Index n runs over the 2r generated points.  ``steps[n]`` is the step
+    decision taken at point n (+1 up, -1 left), one signed byte per step;
+    the array is never mutated.  Everything else is derived from it once,
+    on first use, and cached: ``signs`` is ``steps`` as a tuple,
+    ``l1_dists[n]`` the Manhattan distance x + y of point n from the
+    center, ``sign_sums[n]`` the running sum of decisions up to and
+    including n, and ``xs``, ``ys``, ``points`` the coordinates.
     """
 
     radius: int
     variant: CostVariant
-    xs: tuple[int, ...]
-    ys: tuple[int, ...]
-    signs: tuple[int, ...]
-    l1_dists: tuple[int, ...]
-    sign_sums: tuple[int, ...]
+    steps: array = field(hash=False)
 
-    @property
+    @cached_property
+    def signs(self) -> tuple[int, ...]:
+        return tuple(self.steps)
+
+    @cached_property
+    def sign_sums(self) -> tuple[int, ...]:
+        return tuple(accumulate(self.steps))
+
+    def iter_l1_dists(self):
+        """Stream of ``l1_dists`` without building it: a_0 = r, a_{n+1} = a_n + s_n."""
+        return accumulate(self.steps[:-1], initial=self.radius)
+
+    @cached_property
+    def l1_dists(self) -> tuple[int, ...]:
+        return tuple(self.iter_l1_dists())
+
+    @cached_property
+    def xs(self) -> tuple[int, ...]:
+        # x falls by one on each left step (byte 0xff); up steps are zeroed
+        lefts = array("b", self.steps.tobytes().replace(b"\x01", b"\x00"))
+        return tuple(accumulate(lefts[:-1], initial=self.radius))
+
+    @cached_property
+    def ys(self) -> tuple[int, ...]:
+        # y rises by one on each up step (byte 0x01); left steps are zeroed
+        ups = array("b", self.steps.tobytes().replace(b"\xff", b"\x00"))
+        return tuple(accumulate(ups[:-1], initial=0))
+
+    @cached_property
     def points(self) -> tuple[Point, ...]:
         return tuple(zip(self.xs, self.ys))
+
+
+def _walk_midpoint(r: int) -> array:
+    """Exact quadrant steps by the second-order midpoint scheme, additions only.
+
+    The decision variable is d = x^2 - x + y^2 + y + 1 - r^2, which starts
+    at 1 - r at (r, 0).  The walk steps up when d <= 0 and left otherwise.
+    An up step adds 2y + 2 to d and a left step subtracts 2x - 2; both
+    differences change by 2 with each move along their axis (Bresenham,
+    "A linear algorithm for incremental digital display of circular arcs",
+    CACM 1977), so no multiplication is needed.  ``generate_quadrant``
+    proves that the decisions are those of ``cost_exact``.
+    """
+    n_steps = 2 * r
+    steps = array("b", [-1]) * n_steps  # every step left until set
+    d = 1 - r
+    up = 2  # 2y + 2
+    left = 2 * r - 2  # 2x - 2
+    for n in range(n_steps):
+        if d <= 0:
+            steps[n] = 1
+            d += up
+            up += 2
+        else:
+            d -= left
+            left -= 2
+    assert (left // 2 + 1, up // 2 - 1) == (0, r), "quarter turn must end at (0, r)"
+    return steps
+
+
+def _walk_predicate(r: int, decide) -> array:
+    """Quadrant steps chosen by a reference predicate decide(a, c, r) in
+    diagonal coordinates, called once per step."""
+    n_steps = 2 * r
+    steps = array("b", [-1]) * n_steps
+    x, y = r, 0
+    for n in range(n_steps):
+        if decide(x + y, r - n - 1, r) > 0:
+            steps[n] = 1
+            y += 1
+        else:
+            x -= 1
+    assert (x, y) == (0, r), "quarter turn must end one step past (1, r)"
+    return steps
 
 
 def generate_quadrant(r: int, variant: CostVariant = CostVariant.EXACT) -> QuadrantTrace:
@@ -128,46 +209,43 @@ def generate_quadrant(r: int, variant: CostVariant = CostVariant.EXACT) -> Quadr
 
     The trace stops one step short of the vertical axis; a final leftward
     step from the last point would land on (0, r), which belongs to the
-    next quadrant.
+    next quadrant.  ``simplified`` and ``approx`` call their predicate at
+    every step; ``exact`` runs ``_walk_midpoint``, which decides exactly as
+    ``cost_exact`` does, by the following argument (compare McIlroy, "Best
+    approximate circles on integer grids", ACM TOG 1983).
+
+    Take a quadrant state (x, y) other than the origin, so a = x + y >= 1,
+    and any r >= 1.  Let u = (x-1)^2 + y^2 and v = x^2 + (y+1)^2 be the
+    squared norms of the two candidates.  Then v - u = 2a > 0 and
+    2d = u + v - 2r^2.  ``cost_exact`` steps up iff AM < r, where
+    AM = (sqrt(u) + sqrt(v)) / 2; the midpoint rule steps up iff QM <= r,
+    where QM = sqrt((u + v) / 2) is the quadratic mean.
+
+    * Midpoint up implies exact up: u != v, so AM < QM <= r.
+    * Midpoint left implies exact left.  The gap between the means is
+      QM^2 - AM^2 = (sqrt(v) - sqrt(u))^2 / 4 = a^2 / (sqrt(u) + sqrt(v))^2.
+      Since sqrt(p^2 + q^2) >= (|p| + |q|) / sqrt(2), sqrt(u) >= (a - 1) / sqrt(2)
+      and sqrt(v) >= (a + 1) / sqrt(2), so sqrt(u) + sqrt(v) >= sqrt(2) a
+      and the gap is at most 1/2.  Now u + v is even, so d > 0 means
+      (u + v) / 2 >= r^2 + 1, hence AM^2 >= r^2 + 1/2 > r^2 and AM > r.
+    * Exact ties never occur: AM = r would need r^2 < QM^2 < r^2 + 1,
+      and QM^2 is an integer.  In ``cost_exact``'s terms t^2 = 4uv never
+      holds with t >= 0; nor with t < 0, which would need
+      sqrt(v) - sqrt(u) = 2r, while that difference is
+      2a / (sqrt(u) + sqrt(v)) <= sqrt(2) < 2r.
+
+    At the origin the argument fails (u = v = 1) and indeed the rules
+    differ there for r = 1, but the walk never visits it.
     """
     if r < 1:
         raise ValueError("radius must be >= 1")
-    n_steps = 2 * r
-    xs = [0] * n_steps
-    ys = [0] * n_steps
-    signs = [0] * n_steps
-    l1s = [0] * n_steps
-    sums = [0] * n_steps
-
-    x, y = r, 0
-    running = 0
-    for n in range(n_steps):
-        xs[n] = x
-        ys[n] = y
-        l1s[n] = x + y
-        if variant is CostVariant.EXACT:
-            s = cost_exact(x, y, r)
-        elif variant is CostVariant.SIMPLIFIED:
-            s = cost_simplified(x + y, r - n - 1, r)
-        else:
-            s = cost_approx(x + y, r - n - 1, r)
-        signs[n] = s
-        running += s
-        sums[n] = running
-        if s > 0:
-            y += 1
-        else:
-            x -= 1
-    assert (x, y) == (0, r), "quarter turn must end one step past (1, r)"
-    return QuadrantTrace(
-        radius=r,
-        variant=variant,
-        xs=tuple(xs),
-        ys=tuple(ys),
-        signs=tuple(signs),
-        l1_dists=tuple(l1s),
-        sign_sums=tuple(sums),
-    )
+    if variant is CostVariant.EXACT:
+        steps = _walk_midpoint(r)
+    elif variant is CostVariant.SIMPLIFIED:
+        steps = _walk_predicate(r, cost_simplified)
+    else:
+        steps = _walk_predicate(r, cost_approx)
+    return QuadrantTrace(radius=r, variant=variant, steps=steps)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
 import math
+from itertools import compress, repeat
+from operator import gt
 
 import pytest
 
@@ -9,6 +11,7 @@ from latticircle.area import (
     check_sum_identity,
     inner_outer_areas,
 )
+from latticircle.signum import generate_quadrant
 
 
 def brute_inner_outer(r):
@@ -27,6 +30,18 @@ def test_area_small_radii():
     assert [area_recursive(cached_trace(r)) for r in range(1, 11)] == [
         1, 3, 8, 13, 20, 28, 39, 52, 64, 79,
     ]
+
+
+def area_by_columns(trace):
+    """The first definition: x summed over the up steps n <= 2r - 2."""
+    ups = map(gt, trace.steps[:-1], repeat(0))
+    return sum(compress(trace.xs[:-1], ups))
+
+
+def test_area_from_l1_sum_matches_column_sum():
+    for r in range(1, 2001):
+        trace = generate_quadrant(r)
+        assert area_recursive(trace) == area_by_columns(trace), r
 
 
 def test_inner_outer_small_radii():

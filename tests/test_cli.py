@@ -186,22 +186,6 @@ def test_sweep_bad_radii_spec(capsys):
     assert run(["sweep", "--radii", "ten"]) == 1
 
 
-def test_sweep_thread_cap_changes_nothing(tmp_path, monkeypatch):
-    single = tmp_path / "single.csv"
-    pooled = tmp_path / "pooled.csv"
-    argv = ["sweep", "--radii", "1:40:3", "--estimator", "harmonic"]
-    monkeypatch.setenv("LATTICIRCLE_THREADS", "1")
-    assert run(argv + ["--out", str(single)]) == 0
-    monkeypatch.setenv("LATTICIRCLE_THREADS", "4")
-    assert run(argv + ["--out", str(pooled)]) == 0
-    assert single.read_bytes() == pooled.read_bytes()
-
-
-def test_sweep_rejects_bad_thread_cap(monkeypatch, capsys):
-    monkeypatch.setenv("LATTICIRCLE_THREADS", "many")
-    assert run(["sweep", "--radii", "1"]) == 1
-
-
 def test_area_lines(capsys):
     assert run(["area", "--radius", "2", "--with-bounds"]) == 0
     assert capsys.readouterr().out == "2,3,1,4,3.0\n"

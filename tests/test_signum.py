@@ -1,4 +1,5 @@
 import decimal
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -237,3 +238,60 @@ def test_cost_simplified_is_a_change_of_coordinates(p, r):
 )
 def test_cost_approx_never_disagrees_on_integer_states(a, c, r):
     assert cost_approx(a, c, r) == cost_simplified(a, c, r)
+
+
+def exact_reference_steps(r):
+    """The walk as first specified: call cost_exact at every step."""
+    steps = []
+    x, y = r, 0
+    for _ in range(2 * r):
+        s = cost_exact(x, y, r)
+        steps.append(s)
+        if s > 0:
+            y += 1
+        else:
+            x -= 1
+    return steps
+
+
+def midpoint_is_up(x, y, r):
+    return x * x - x + y * y + y + 1 - r * r <= 0
+
+
+@st.composite
+def states_near_the_circle(draw):
+    """Quadrant states within a few cells of the circle, where decisions are close."""
+    r = draw(st.integers(1, 10**30))
+    x = draw(st.integers(0, r + 2))
+    y = max(0, math.isqrt(max(0, r * r - x * x)) + draw(st.integers(-2, 2)))
+    return (x, y, r) if (x, y) != (0, 0) else (1, 0, r)
+
+
+arbitrary_states = st.tuples(
+    st.integers(0, 10**30), st.integers(0, 10**30), st.integers(1, 10**30)
+).filter(lambda s: s[:2] != (0, 0))
+
+
+@settings(max_examples=200)
+@given(st.one_of(arbitrary_states, states_near_the_circle()))
+def test_midpoint_rule_is_cost_exact_on_every_state(state):
+    x, y, r = state
+    assert midpoint_is_up(x, y, r) == (cost_exact(x, y, r) == 1)
+
+
+def test_walker_matches_cost_exact_beyond_512():
+    for r in range(513, 1501):
+        assert list(generate_quadrant(r).steps) == exact_reference_steps(r), r
+
+
+@pytest.mark.slow
+def test_walker_matches_cost_exact_exhaustively():
+    for r in range(1, 3001):
+        assert list(generate_quadrant(r).steps) == exact_reference_steps(r), r
+
+
+@pytest.mark.parametrize("variant", list(CostVariant))
+def test_trace_stores_one_byte_per_step(variant):
+    trace = generate_quadrant(9, variant)
+    assert trace.steps.itemsize == 1
+    assert len(trace.steps) == 18

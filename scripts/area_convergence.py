@@ -8,13 +8,7 @@ import math
 import pathlib
 
 from latticircle.area import area_report
-
-
-def log_radii(lo: int, hi: int, k: int) -> list[int]:
-    if k == 1:
-        return [lo]
-    step = (math.log(hi) - math.log(lo)) / (k - 1)
-    return sorted({round(math.exp(math.log(lo) + i * step)) for i in range(k)})
+from latticircle.cli import parse_radii_spec
 
 
 def main() -> None:
@@ -24,10 +18,14 @@ def main() -> None:
     ap.add_argument("--samples", type=int, default=16)
     ap.add_argument("--out", help="also write the table as CSV")
     args = ap.parse_args()
+    try:
+        radii = parse_radii_spec(f"log:{args.min_radius}:{args.max_radius}:{args.samples}")
+    except ValueError as e:
+        ap.error(str(e))
 
     rows = []
     print(f"{'r':>6} {'area':>12} {'inner':>12} {'outer':>12} {'ratio':>10} {'|ratio-pi|':>12}")
-    for r in log_radii(args.min_radius, args.max_radius, args.samples):
+    for r in radii:
         rep = area_report(r)
         err = abs(rep.ratio - math.pi)
         rows.append((r, rep.area, rep.inner, rep.outer, rep.ratio, err))

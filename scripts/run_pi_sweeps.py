@@ -1,30 +1,23 @@
 """Run the pi-convergence sweeps and write one CSV per estimator/source pair.
 
 Covers the constructed path with both means, the exact parametric samples,
-and the two naive snappings.  Prints a last-radius summary to stdout.
+and the two naive snappings.  Each CSV is what ``latticircle sweep`` writes
+for the same radii.  Prints a last-radius summary to stdout.
 """
 
 import argparse
-import math
 import pathlib
+import sys
 
-from latticircle.estimators import Estimator, sweep
-from latticircle.reference import DiscretizationSource
+from latticircle.cli import parse_radii_spec, run
 
 PAIRS = [
-    (Estimator.ARITHMETIC, DiscretizationSource.SIGNUM),
-    (Estimator.HARMONIC, DiscretizationSource.SIGNUM),
-    (Estimator.ARITHMETIC, DiscretizationSource.PARAM_EXACT),
-    (Estimator.ARITHMETIC, DiscretizationSource.PARAM_FLOOR),
-    (Estimator.ARITHMETIC, DiscretizationSource.PARAM_ROUND),
+    ("arithmetic", "signum"),
+    ("harmonic", "signum"),
+    ("arithmetic", "param-exact"),
+    ("arithmetic", "param-floor"),
+    ("arithmetic", "param-round"),
 ]
-
-
-def log_radii(lo: int, hi: int, k: int) -> list[int]:
-    if k == 1:
-        return [lo]
-    step = (math.log(hi) - math.log(lo)) / (k - 1)
-    return sorted({round(math.exp(math.log(lo) + i * step)) for i in range(k)})
 
 
 def main() -> None:
@@ -35,26 +28,27 @@ def main() -> None:
     ap.add_argument("--out-dir", default="out/sweeps")
     args = ap.parse_args()
 
-    radii = log_radii(args.min_radius, args.max_radius, args.samples)
+    spec = f"log:{args.min_radius}:{args.max_radius}:{args.samples}"
+    try:
+        radii = parse_radii_spec(spec)
+    except ValueError as e:
+        ap.error(str(e))
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     print(f"{len(radii)} radii from {radii[0]} to {radii[-1]}")
     for estimator, source in PAIRS:
-        records = sweep(radii, estimator, source)
-        path = out_dir / f"{estimator.value}_{source.value}.csv"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("r,estimator,source,value,target,abs_error\n")
-            for rec in records:
-                target = rec.target_note or f"{rec.target:.12g}"
-                fh.write(
-                    f"{rec.radius},{estimator.value},{source.value},"
-                    f"{rec.value:.12g},{target},{rec.abs_error:.12g}\n"
-                )
-        last = records[-1]
+        path = out_dir / f"{estimator}_{source}.csv"
+        code = run([
+            "sweep", "--radii", spec, "--estimator", estimator,
+            "--source", source, "--out", str(path),
+        ])
+        if code:
+            sys.exit(code)
+        last = path.read_text(encoding="utf-8").splitlines()[-1].split(",")
         print(
-            f"  {estimator.value:10s} {source.value:12s} -> {path}   "
-            f"value({last.radius})={last.value:.9f}  abs_error={last.abs_error:.3e}"
+            f"  {estimator:10s} {source:12s} -> {path}   "
+            f"value({last[0]})={float(last[3]):.9f}  abs_error={float(last[5]):.3e}"
         )
 
 

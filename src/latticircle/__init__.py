@@ -44,6 +44,7 @@ from latticircle.estimators import (
     arithmetic_mean_pi,
     arithmetic_mean_pi_exact,
     continuum_mean_closed_form,
+    estimate,
     harmonic_asymptote,
     harmonic_mean_pi,
     harmonic_mean_pi_exact,
@@ -87,6 +88,7 @@ __all__ = [
     "cost_approx",
     "cost_exact",
     "cost_simplified",
+    "estimate",
     "generate_quadrant",
     "harmonic_asymptote",
     "harmonic_mean_pi",

@@ -63,16 +63,19 @@ class AreaReport:
 
     radius: int
     area: int
-    inner: int
-    outer: int
+    inner: int | None
+    outer: int | None
     ratio: float
 
 
-def area_report(radius: int, variant: CostVariant = CostVariant.EXACT) -> AreaReport:
-    """Generate the trace for ``radius`` and report area, bounds and ratio."""
+def area_report(
+    radius: int, variant: CostVariant = CostVariant.EXACT, with_bounds: bool = True
+) -> AreaReport:
+    """Generate the trace for ``radius`` and report area, bounds and ratio;
+    without ``with_bounds`` the bounds are skipped and read None."""
     trace = generate_quadrant(radius, variant)
     area = area_recursive(trace)
-    inner, outer = inner_outer_areas(radius)
+    inner, outer = inner_outer_areas(radius) if with_bounds else (None, None)
     return AreaReport(
         radius=radius,
         area=area,

@@ -10,18 +10,20 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Sequence
+from itertools import cycle
+from typing import Iterable, Sequence
 
 from latticircle.area import area_report
+# unused pi_sequence and means stay imported: perfbench/traced.py wraps them by these names
 from latticircle.estimators import (
     Estimator,
     arithmetic_mean_pi,
+    estimate,
     harmonic_mean_pi,
     pi_sequence,
     sweep,
-    sweep_target,
 )
-from latticircle.lattice import Point, check_path, l1_norm
+from latticircle.lattice import Point, check_path
 from latticircle.reference import DiscretizationSource
 from latticircle.signum import CostVariant, assemble_full_circle, generate_quadrant
 from latticircle.svg import render_path_svg
@@ -57,8 +59,10 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_radii_spec(spec: str) -> list[int]:
-    """Radii from 'a,b,c', 'min:max:step' or 'log:a:b:k', deduped ascending."""
+def parse_radii_spec(spec: str) -> list[int]:
+    """Radii from 'a,b,c', 'min:max:step' or 'log:a:b:k', deduped ascending.
+
+    A malformed spec or a radius below 1 raises ValueError."""
     try:
         if spec.startswith("log:"):
             _, lo_s, hi_s, k_s = spec.split(":")
@@ -79,32 +83,27 @@ def _parse_radii_spec(spec: str) -> list[int]:
         else:
             radii = [int(part) for part in spec.split(",")]
     except ValueError:
-        raise _CliError(f"bad radii spec {spec!r}", 1)
+        raise ValueError(f"bad radii spec {spec!r}") from None
     if not radii or any(r < 1 for r in radii):
-        raise _CliError(f"bad radii spec {spec!r}", 1)
+        raise ValueError(f"bad radii spec {spec!r}")
     return sorted(set(radii))
 
 
-def _trace_csv(trace) -> str:
+def _rows_csv(trace, points: Iterable[Point]) -> str:
+    """CSV rows n,x,y,s,a,S; s, a and S repeat with period 2r, because a
+    quarter turn keeps the decisions and preserves a = |x| + |y|."""
+    rows = zip(points, cycle(trace.signs), cycle(trace.l1_dists), cycle(trace.sign_sums))
     lines = ["n,x,y,s,a,S"]
-    for n in range(2 * trace.radius):
-        lines.append(
-            f"{n},{trace.xs[n]},{trace.ys[n]},{trace.signs[n]},"
-            f"{trace.l1_dists[n]},{trace.sign_sums[n]}"
-        )
+    lines.extend(f"{n},{x},{y},{s},{a},{S}" for n, ((x, y), s, a, S) in enumerate(rows))
     return "\n".join(lines) + "\n"
+
+
+def _trace_csv(trace) -> str:
+    return _rows_csv(trace, zip(trace.xs, trace.ys))
 
 
 def _full_circle_csv(trace) -> str:
-    circle = assemble_full_circle(trace)
-    period = 2 * trace.radius
-    lines = ["n,x,y,s,a,S"]
-    for n, (x, y) in enumerate(circle.points):
-        m = n % period
-        lines.append(
-            f"{n},{x},{y},{trace.signs[m]},{l1_norm((x, y))},{trace.sign_sums[m]}"
-        )
-    return "\n".join(lines) + "\n"
+    return _rows_csv(trace, assemble_full_circle(trace).points)
 
 
 def _cmd_generate(args) -> int:
@@ -128,8 +127,9 @@ def _cmd_generate(args) -> int:
 
 def _read_points_csv(path: str) -> list[Point]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            rows = [line.rstrip("\n").rstrip("\r") for line in fh]
+        # utf-8-sig drops a leading byte-order mark; text mode turns CRLF into LF
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            rows = [line.rstrip("\n") for line in fh]
     except OSError as e:
         raise _CliError(str(e), 1)
     rows = [row for row in rows if row != ""]
@@ -172,20 +172,13 @@ def _record_line(rec) -> str:
 
 def _cmd_pi(args) -> int:
     source = DiscretizationSource(args.source)
-    estimator = Estimator(args.estimator)
-    seq = pi_sequence(args.radius, source, CostVariant(args.cost))
-    value = arithmetic_mean_pi(seq) if estimator is Estimator.ARITHMETIC else harmonic_mean_pi(seq)
-    target, note = sweep_target(estimator, source)
-    target_cell = "pi (no closed form)" if note else format_real(target)
-    print(
-        f"{args.radius},{estimator.value},{source.value},"
-        f"{format_real(value)},{target_cell},{format_real(abs(value - target))}"
-    )
+    record = estimate(args.radius, Estimator(args.estimator), source, CostVariant(args.cost))
+    print(_record_line(record))
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    radii = _parse_radii_spec(args.radii)
+    radii = parse_radii_spec(args.radii)
     records = sweep(
         radii,
         Estimator(args.estimator),
@@ -199,14 +192,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_area(args) -> int:
-    report = area_report(args.radius, CostVariant(args.cost))
-    if args.with_bounds:
-        print(
-            f"{report.radius},{report.area},{report.inner},{report.outer},"
-            f"{format_real(report.ratio)}"
-        )
-    else:
-        print(f"{report.radius},{report.area},,,{format_real(report.ratio)}")
+    report = area_report(args.radius, CostVariant(args.cost), with_bounds=args.with_bounds)
+    bounds = f"{report.inner},{report.outer}" if args.with_bounds else ","
+    print(f"{report.radius},{report.area},{bounds},{format_real(report.ratio)}")
     return 0
 
 
@@ -221,6 +209,12 @@ def _build_parser() -> _Parser:
             default="exact",
             help="step decider driving the recursion (default exact)",
         )
+
+    def add_estimate(p):
+        p.add_argument("--estimator", choices=[e.value for e in Estimator], default="arithmetic")
+        sources = [s for s in DiscretizationSource if s is not DiscretizationSource.MIDPOINT]
+        p.add_argument("--source", choices=[s.value for s in sources], default="signum")
+        add_cost(p)
 
     g = sub.add_parser("generate", help="emit one constructed circle as CSV or SVG")
     g.add_argument("--radius", type=int, required=True)
@@ -242,15 +236,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("pi", help="one pi estimate for one radius")
     p.add_argument("--radius", type=int, required=True)
-    p.add_argument(
-        "--estimator", choices=[e.value for e in Estimator], default="arithmetic"
-    )
-    p.add_argument(
-        "--source",
-        choices=[s.value for s in DiscretizationSource if s is not DiscretizationSource.MIDPOINT],
-        default="signum",
-    )
-    add_cost(p)
+    add_estimate(p)
     p.set_defaults(func=_cmd_pi)
 
     s = sub.add_parser("sweep", help="pi estimates over a range of radii, as CSV")
@@ -259,15 +245,7 @@ def _build_parser() -> _Parser:
         required=True,
         help="comma list '1,2,3', range 'min:max:step' or 'log:a:b:k'",
     )
-    s.add_argument(
-        "--estimator", choices=[e.value for e in Estimator], default="arithmetic"
-    )
-    s.add_argument(
-        "--source",
-        choices=[src.value for src in DiscretizationSource if src is not DiscretizationSource.MIDPOINT],
-        default="signum",
-    )
-    add_cost(s)
+    add_estimate(s)
     s.add_argument("--out", help="output file (default stdout)")
     s.set_defaults(func=_cmd_sweep)
 

@@ -52,6 +52,13 @@ class PiSequence:
         return tuple(4 * self.radius / a for a in self.l1_values)
 
 
+_PARAM_SAMPLERS = {
+    DiscretizationSource.PARAM_EXACT: a_param_exact,
+    DiscretizationSource.PARAM_FLOOR: a_param_floor,
+    DiscretizationSource.PARAM_ROUND: a_param_round,
+}
+
+
 def pi_sequence(
     radius: int,
     source: DiscretizationSource,
@@ -66,14 +73,11 @@ def pi_sequence(
         raise ValueError("radius must be >= 1")
     if source is DiscretizationSource.SIGNUM:
         l1s: Sequence = generate_quadrant(radius, variant).l1_dists
-    elif source is DiscretizationSource.PARAM_EXACT:
-        l1s = [a_param_exact(radius, n) for n in range(2 * radius)]
-    elif source is DiscretizationSource.PARAM_FLOOR:
-        l1s = [a_param_floor(radius, n) for n in range(2 * radius)]
-    elif source is DiscretizationSource.PARAM_ROUND:
-        l1s = [a_param_round(radius, n) for n in range(2 * radius)]
     else:
-        raise ValueError("midpoint baseline has no 2r-sample pi sequence")
+        sampler = _PARAM_SAMPLERS.get(source)
+        if sampler is None:
+            raise ValueError("midpoint baseline has no 2r-sample pi sequence")
+        l1s = [sampler(radius, n) for n in range(2 * radius)]
     low = min(l1s)
     if low <= 0:
         raise ValueError(f"nonpositive Manhattan distance {low} at radius {radius}")
@@ -155,6 +159,20 @@ def sweep_target(estimator: Estimator, source: DiscretizationSource) -> tuple[fl
     return math.pi, "no closed form"
 
 
+def estimate(
+    radius: int,
+    estimator: Estimator,
+    source: DiscretizationSource,
+    variant: CostVariant = CostVariant.EXACT,
+) -> ConvergenceRecord:
+    """The estimate at one radius against its target, as one sweep row."""
+    seq = pi_sequence(radius, source, variant)
+    mean = arithmetic_mean_pi if estimator is Estimator.ARITHMETIC else harmonic_mean_pi
+    value = mean(seq)
+    target, note = sweep_target(estimator, source)
+    return ConvergenceRecord(radius, estimator, source, value, target, abs(value - target), note)
+
+
 def sweep(
     radii: Sequence[int],
     estimator: Estimator,
@@ -169,22 +187,4 @@ def sweep(
             raise ValueError("radii must be >= 1")
         if r < 5 and source is DiscretizationSource.SIGNUM and variant is CostVariant.APPROX:
             raise ValueError("approx requires radius ≥ 5")
-    target, note = sweep_target(estimator, source)
-
-    def one(r: int) -> ConvergenceRecord:
-        seq = pi_sequence(r, source, variant)
-        if estimator is Estimator.ARITHMETIC:
-            value = arithmetic_mean_pi(seq)
-        else:
-            value = harmonic_mean_pi(seq)
-        return ConvergenceRecord(
-            radius=r,
-            estimator=estimator,
-            source=source,
-            value=value,
-            target=target,
-            abs_error=abs(value - target),
-            target_note=note,
-        )
-
-    return [one(r) for r in radii]
+    return [estimate(r, estimator, source, variant) for r in radii]

@@ -64,19 +64,17 @@ def check_path(points: Iterable[Point], mode: str = "open") -> PathValidityRepor
     if not pts:
         return PathValidityReport(True, True, (), note="empty")
 
-    members = set(pts)
+    members: set[Point] = set()
+    dups = []
+    for i, p in enumerate(pts):
+        if p in members:
+            dups.append(i)
+        else:
+            members.add(p)
     counts = [
         sum((x + dx, y + dy) in members for dx, dy in _UNIT_STEPS)
         for x, y in pts
     ]
-
-    seen: set[Point] = set()
-    dups = []
-    for i, p in enumerate(pts):
-        if p in seen:
-            dups.append(i)
-        else:
-            seen.add(p)
 
     clean = not dups
     is_valid = clean and all(c <= 2 for c in counts)

@@ -29,8 +29,9 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
+from operator import neg
 
-from latticircle.lattice import Point, rotate90
+from latticircle.lattice import Point
 
 
 class CostVariant(enum.Enum):
@@ -262,10 +263,11 @@ def assemble_full_circle(trace: QuadrantTrace) -> CirclePath:
 
     The quadrant's 2r points exclude (0, r), so the four rotated copies are
     disjoint and concatenate to exactly 8r distinct points forming a closed
-    4-connected loop.
+    4-connected loop.  Quarter turn k maps (x, y) to ``rotate90((x, y), k)``:
+    (x, y), (-y, x), (-x, -y) and (y, -x), built here from the coordinate
+    columns directly.
     """
-    quad = trace.points
-    pts: list[Point] = []
-    for k in range(4):
-        pts.extend(rotate90(p, k) for p in quad)
-    return CirclePath(radius=trace.radius, points=tuple(pts), closed=True)
+    xs, ys = trace.xs, trace.ys
+    neg_xs, neg_ys = tuple(map(neg, xs)), tuple(map(neg, ys))
+    pts = (*zip(xs, ys), *zip(neg_ys, xs), *zip(neg_xs, neg_ys), *zip(ys, neg_xs))
+    return CirclePath(radius=trace.radius, points=pts, closed=True)

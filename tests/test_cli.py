@@ -1,8 +1,13 @@
+import os
+import pathlib
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from latticircle.cli import format_real, run
+import latticircle
+from latticircle.cli import format_real, parse_radii_spec, run
 from latticircle.reference import midpoint_quadrant
 
 R2_QUADRANT_CSV = (
@@ -184,6 +189,14 @@ def test_sweep_bad_radii_spec(capsys):
     assert run(["sweep", "--radii", "0,3"]) == 1
     assert run(["sweep", "--radii", "9:1:1"]) == 1
     assert run(["sweep", "--radii", "ten"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "bad radii spec 'ten'"
+
+
+def test_parse_radii_spec():
+    assert parse_radii_spec("log:2:300:9") == [2, 4, 7, 13, 24, 46, 86, 160, 300]
+    assert parse_radii_spec("log:5:500:1") == [5]
+    with pytest.raises(ValueError, match="bad radii spec 'log:0:9:3'"):
+        parse_radii_spec("log:0:9:3")
 
 
 def test_area_lines(capsys):
@@ -203,3 +216,37 @@ def test_usage_errors_exit_1(capsys):
 def test_radius_zero_is_an_input_error(capsys):
     assert run(["generate", "--radius", "0"]) == 1
     assert "radius" in capsys.readouterr().err
+
+
+def test_area_without_bounds_skips_the_cell_counts(monkeypatch, capsys):
+    def boom(r):
+        raise AssertionError("bounds computed but not printed")
+
+    monkeypatch.setattr("latticircle.area.inner_outer_areas", boom)
+    assert run(["area", "--radius", "7"]) == 0
+    assert capsys.readouterr().out.startswith("7,")
+
+
+def test_validate_reads_bom_and_crlf(tmp_path, capsys):
+    path = tmp_path / "excel.csv"
+    path.write_bytes("\ufeffx,y\r\n0,0\r\n1,0\r\n".encode("utf-8"))
+    assert run(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "mode=open points=2 valid=true\n"
+
+
+def test_python_dash_m_matches_run(capsys):
+    env = dict(os.environ)
+    src = str(pathlib.Path(latticircle.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "latticircle", *argv],
+            capture_output=True, env=env, timeout=60,
+        )
+
+    done = module("pi", "--radius", "5")
+    assert run(["pi", "--radius", "5"]) == 0
+    assert done.returncode == 0
+    assert done.stdout == capsys.readouterr().out.encode("utf-8")
+    assert module("pi").returncode == 1

@@ -6,10 +6,12 @@ import pytest
 from conftest import cached_trace
 from latticircle.area import area_recursive
 from latticircle.estimators import (
+    ConvergenceRecord,
     Estimator,
     arithmetic_mean_pi,
     arithmetic_mean_pi_exact,
     continuum_mean_closed_form,
+    estimate,
     harmonic_asymptote,
     harmonic_mean_pi,
     harmonic_mean_pi_exact,
@@ -175,3 +177,14 @@ def test_sweep_rejects_bad_input():
         sweep([3], Estimator.ARITHMETIC, SIGNUM, CostVariant.APPROX)
     # the same radii are fine for non-signum sources
     assert sweep([3], Estimator.ARITHMETIC, PARAM_FLOOR, CostVariant.APPROX)
+
+
+@pytest.mark.parametrize("estimator", list(Estimator))
+@pytest.mark.parametrize("source", [SIGNUM, PARAM_EXACT, PARAM_FLOOR, PARAM_ROUND])
+def test_estimate_record(estimator, source):
+    mean = arithmetic_mean_pi if estimator is Estimator.ARITHMETIC else harmonic_mean_pi
+    value = mean(pi_sequence(12, source))
+    target, note = sweep_target(estimator, source)
+    assert estimate(12, estimator, source) == ConvergenceRecord(
+        12, estimator, source, value, target, abs(value - target), note
+    )

@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from itertools import cycle
+from functools import partial
+from itertools import cycle, repeat
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from latticircle.area import area_report
@@ -126,26 +128,49 @@ def _cmd_generate(args) -> int:
 
 
 def _read_points_csv(path: str) -> list[Point]:
+    """The (x, y) points of a CSV, read about 1 MiB at a time so that only
+    the points are held.  Blank lines are skipped, header cells may carry
+    whitespace, and a bad row is named by its line number in the file."""
     try:
         # utf-8-sig drops a leading byte-order mark; text mode turns CRLF into LF
         with open(path, "r", encoding="utf-8-sig") as fh:
-            rows = [line.rstrip("\n") for line in fh]
+            lineno = 0
+            for header in fh:
+                lineno += 1
+                if header != "\n":
+                    break
+            else:
+                raise _CliError(f"{path}: empty file", 1)
+            cells = [cell.strip() for cell in header.split(",")]
+            try:
+                pick = itemgetter(cells.index("x"), cells.index("y"))
+            except ValueError:
+                raise _CliError(f"{path}: header must name x and y columns", 1)
+            points: list[Point] = []
+            for chunk in iter(partial(fh.readlines, 1 << 20), []):
+                try:
+                    picked = map(pick, map(str.split, chunk, repeat(",")))
+                    points.extend([(int(x), int(y)) for x, y in picked])
+                except (IndexError, ValueError):
+                    # a blank line or a bad row: rescan this chunk line by line
+                    points.extend(_read_rows(path, chunk, lineno + 1, pick))
+                lineno += len(chunk)
     except OSError as e:
         raise _CliError(str(e), 1)
-    rows = [row for row in rows if row != ""]
-    if not rows:
-        raise _CliError(f"{path}: empty file", 1)
-    header = rows[0].split(",")
-    try:
-        ix = header.index("x")
-        iy = header.index("y")
-    except ValueError:
-        raise _CliError(f"{path}: header must name x and y columns", 1)
+    return points
+
+
+def _read_rows(path: str, lines: list[str], first: int, pick) -> list[Point]:
+    """The points of ``lines``, the first of which is line ``first`` of the
+    file, skipping blank ones; the first bad row raises with its number."""
     points = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        cells = row.split(",")
+    for lineno, line in enumerate(lines, start=first):
+        row = line.rstrip("\n")
+        if not row:
+            continue
         try:
-            points.append((int(cells[ix]), int(cells[iy])))
+            x, y = pick(row.split(","))
+            points.append((int(x), int(y)))
         except (IndexError, ValueError):
             raise _CliError(f"{path}:{lineno}: malformed row {row!r}", 1)
     return points

@@ -13,8 +13,6 @@ from typing import Iterable
 
 Point = tuple[int, int]
 
-_UNIT_STEPS: tuple[Point, ...] = ((1, 0), (-1, 0), (0, 1), (0, -1))
-
 
 def l1_norm(p: Point) -> int:
     """Manhattan norm |x| + |y|."""
@@ -57,33 +55,51 @@ def check_path(points: Iterable[Point], mode: str = "open") -> PathValidityRepor
     1 are counted.  Open mode tolerates counts up to 2, closed mode demands
     exactly 2.  Empty input is vacuously valid and flagged with
     note="empty".
+
+    Each point (x, y) is looked up as the int key x*m + y, with
+    m = 2*max|y| + 3 over the input.  Every member and every unit neighbor
+    of a member has y in [-max|y| - 1, max|y| + 1], which is m consecutive
+    values, so the key is injective on all of them and the neighbors of key
+    k are k +- 1 and k +- m, for coordinates of any size.
+
+    The counts depend only on the point set, so permuting the input
+    permutes the violations and never changes the verdict.  Occurrences of
+    a point after its first are duplicates, flagged in either mode.
     """
     if mode not in ("open", "closed"):
         raise ValueError(f"mode must be 'open' or 'closed', not {mode!r}")
-    pts = [(int(p[0]), int(p[1])) for p in points]
+    pts = points if isinstance(points, (list, tuple)) else list(points)
     if not pts:
         return PathValidityReport(True, True, (), note="empty")
 
-    members: set[Point] = set()
-    dups = []
-    for i, p in enumerate(pts):
-        if p in members:
-            dups.append(i)
-        else:
-            members.add(p)
+    ys = [int(p[1]) for p in pts]
+    m = 2 * max(max(ys), -min(ys)) + 3
+    keys = [int(p[0]) * m + y for p, y in zip(pts, ys)]
+    del ys  # before the set is built, so it adds nothing to the peak
+    members = set(keys)
     counts = [
-        sum((x + dx, y + dy) in members for dx, dy in _UNIT_STEPS)
-        for x, y in pts
+        (k + 1 in members) + (k - 1 in members) + (k + m in members) + (k - m in members)
+        for k in keys
     ]
+    # The first occurrence of a key consumes it from the set; later ones
+    # find it gone.  A set as long as the input holds no duplicates.
+    dups = []
+    if len(members) < len(keys):
+        for i, k in enumerate(keys):
+            if k in members:
+                members.remove(k)
+            else:
+                dups.append(i)
 
-    clean = not dups
-    is_valid = clean and all(c <= 2 for c in counts)
-    is_closed_valid = clean and all(c == 2 for c in counts)
+    fits_open = max(counts) <= 2
+    fits_closed = fits_open and min(counts) == 2
+    is_valid = fits_open and not dups
+    is_closed_valid = fits_closed and not dups
 
     if mode == "open":
-        flagged = {i for i, c in enumerate(counts) if c > 2}
+        flagged = set() if fits_open else {i for i, c in enumerate(counts) if c > 2}
     else:
-        flagged = {i for i, c in enumerate(counts) if c != 2}
+        flagged = set() if fits_closed else {i for i, c in enumerate(counts) if c != 2}
     flagged.update(dups)
     violations = tuple((i, counts[i]) for i in sorted(flagged))
     return PathValidityReport(is_valid, is_closed_valid, violations)

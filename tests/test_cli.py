@@ -1,5 +1,6 @@
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -131,6 +132,75 @@ def test_validate_malformed_rows(tmp_path, capsys):
     path.write_text("u,v\n1,2\n")
     assert run(["validate", str(path)]) == 1
     assert run(["validate", str(tmp_path / "missing.csv")]) == 1
+
+
+def test_validate_strips_header_cells(tmp_path, capsys):
+    path = tmp_path / "spaced.csv"
+    path.write_text("n , x, y\n0,0,0\n1,1,0\n")
+    assert run(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "mode=open points=2 valid=true\n"
+
+
+def test_validate_names_the_physical_line(tmp_path, capsys):
+    path = tmp_path / "gaps.csv"
+    path.write_text("x,y\n\n\n0,0\n1,zz\n")
+    assert run(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"{path}:5: malformed row '1,zz'\n"
+
+
+def test_validate_names_a_bad_line_past_the_first_chunk(tmp_path, capsys):
+    # about 1.3 MB of rows, so the file is read in more than one chunk
+    rows = [f"{i},0,{'p' * 100}" for i in range(12_000)]
+    rows.insert(500, "")
+    good, rows[11_001] = rows[11_001], "11000,zz,pad"
+    path = tmp_path / "long.csv"
+    path.write_text("x,y,pad\n" + "\n".join(rows) + "\n")
+    assert path.stat().st_size > 1 << 20
+    assert run(["validate", str(path)]) == 1
+    # the header is line 1, so rows[k] is line k + 2
+    assert capsys.readouterr().err == f"{path}:11003: malformed row '11000,zz,pad'\n"
+    rows[11_001] = good
+    path.write_text("x,y,pad\n" + "\n".join(rows) + "\n")
+    assert run(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "mode=open points=12000 valid=true\n"
+
+
+def test_validate_error_exit_codes(tmp_path, capsys):
+    assert run(["validate", str(tmp_path)]) == 1
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"x,y\n0,\xe90\n")
+    assert run(["validate", str(path)]) == 1
+    path = tmp_path / "blank.csv"
+    path.write_text("\n\n\n")
+    assert run(["validate", str(path)]) == 1
+    assert capsys.readouterr().err.endswith(f"{path}: empty file\n")
+    path = tmp_path / "no_newline.csv"
+    path.write_text("x,y\n0,0\n1,0")
+    assert run(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "mode=open points=2 valid=true\n"
+
+
+@pytest.mark.slow
+def test_validate_round_trip_at_r_20000(tmp_path, capsys):
+    r = 20_000
+    path = tmp_path / "circle.csv"
+    assert run(["generate", "--radius", str(r), "--extent", "full", "--out", str(path)]) == 0
+    header, *rows = path.read_text().splitlines()
+    random.Random(20_000).shuffle(rows)
+    path.write_text("\n".join([header, *rows]) + "\n")
+    capsys.readouterr()
+    assert run(["validate", str(path), "--mode", "closed"]) == 0
+    assert capsys.readouterr().out == f"mode=closed points={8 * r} valid=true\n"
+
+    # copies of rows 10, 5000 and the last row, each placed after its original
+    rows.insert(40_000, rows[10])
+    rows.insert(90_000, rows[5000])
+    rows.append(rows[-1])
+    path.write_text("\n".join([header, *rows]) + "\n")
+    assert run(["validate", str(path), "--mode", "closed"]) == 2
+    want = f"mode=closed points={8 * r + 3} valid=false\n"
+    want += "".join(f"index={i} neighbors=2\n" for i in (40_000, 90_000, 8 * r + 2))
+    assert capsys.readouterr().out == want
 
 
 def test_pi_lines(capsys):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from latticircle.lattice import check_path, l1_norm, l2_norm_sq, rotate90
 
@@ -126,3 +126,69 @@ def test_verdict_ignores_input_order(pts, data):
 def test_open_violations_empty_iff_valid(pts):
     report = check_path(pts, "open")
     assert report.is_valid == (report.violations == ())
+
+
+def oracle_check_path(points, mode):
+    """The tuple-set checker that int keys replaced, kept as the reference."""
+    pts = [(int(p[0]), int(p[1])) for p in points]
+    if not pts:
+        return True, True, (), "empty"
+    members = set()
+    dups = []
+    for i, p in enumerate(pts):
+        if p in members:
+            dups.append(i)
+        else:
+            members.add(p)
+    steps = ((1, 0), (-1, 0), (0, 1), (0, -1))
+    counts = [sum((x + dx, y + dy) in members for dx, dy in steps) for x, y in pts]
+    clean = not dups
+    is_valid = clean and all(c <= 2 for c in counts)
+    is_closed_valid = clean and all(c == 2 for c in counts)
+    if mode == "open":
+        flagged = {i for i, c in enumerate(counts) if c > 2}
+    else:
+        flagged = {i for i, c in enumerate(counts) if c != 2}
+    flagged.update(dups)
+    return is_valid, is_closed_valid, tuple((i, counts[i]) for i in sorted(flagged)), ""
+
+
+def coords(bound):
+    return st.integers(-bound, bound)
+
+
+# Points that share a key under a fixed 2**32 stride, e.g. (0, 2**32) and (1, 0).
+stride_collisions = st.builds(
+    lambda x, k, y: (x, k * 2**32 + y), coords(2), coords(2), coords(1)
+)
+
+
+@st.composite
+def point_lists(draw):
+    dense = st.lists(st.tuples(coords(6), coords(6)), max_size=60)
+    pts = draw(st.one_of(
+        dense,
+        # dense clusters far from the origin, so neighbors exist at large keys
+        st.builds(
+            lambda ps, ox, oy: [(x + ox, y + oy) for x, y in ps],
+            dense, coords(10**20), coords(10**20),
+        ),
+        st.lists(st.one_of(stride_collisions, st.tuples(coords(2), coords(2))), max_size=40),
+    ))
+    # copies of drawn points, each inserted at a drawn position
+    for _ in range(draw(st.integers(0, 3)) if pts else 0):
+        copy = pts[draw(st.integers(0, len(pts) - 1))]
+        pts.insert(draw(st.integers(0, len(pts))), copy)
+    return pts
+
+
+@given(point_lists())
+@example([(0, 2**32), (1, 0)])
+@example([(0, -(2**32)), (-1, 0), (0, 2**32 + 1)])
+def test_check_path_matches_tuple_set_oracle(pts):
+    for mode in ("open", "closed"):
+        want = oracle_check_path(pts, mode)
+        for given_pts in (pts, tuple(pts), (p for p in pts)):
+            report = check_path(given_pts, mode)
+            got = (report.is_valid, report.is_closed_valid, report.violations, report.note)
+            assert got == want

@@ -36,17 +36,25 @@ def inner_outer_areas(r: int) -> tuple[int, int]:
     A cell with lower-left corner (i, j), i, j >= 0, counts as inner when
     its far corner satisfies (i+1)^2 + (j+1)^2 <= r^2 and as outer when its
     near corner satisfies i^2 + j^2 < r^2.
+
+    Both come from one isqrt per column i in 1..r-1, with h = isqrt(r^2 - i^2).
+    Inner: a far corner at x = i (1 <= i <= r) admits heights 1..h, and
+    column r adds nothing, so inner = sum(h).  Outer: a near corner at
+    x = i admits j with j^2 < r^2 - i^2, i.e. ceil(sqrt(r^2 - i^2)) cells,
+    which is h when r^2 - i^2 = h^2 and h + 1 otherwise; column 0 adds r.
+    So outer = inner + 2r - 1 - P, where P counts the columns whose
+    r^2 - i^2 is a perfect square.
     """
     if r < 1:
         raise ValueError("radius must be >= 1")
     rsq = r * r
-    # inner: a far corner at x = i (1 <= i <= r) admits far-corner heights
-    # 1..isqrt(r^2 - i^2)
-    inner = sum(math.isqrt(rsq - i * i) for i in range(1, r + 1))
-    # outer: a near corner at x = i (0 <= i < r) admits heights j with
-    # j^2 < r^2 - i^2, i.e. 0..isqrt(r^2 - i^2 - 1)
-    outer = sum(math.isqrt(rsq - i * i - 1) + 1 for i in range(r))
-    return inner, outer
+    inner = squares = 0
+    for i in range(1, r):
+        n = rsq - i * i
+        h = math.isqrt(n)
+        inner += h
+        squares += h * h == n
+    return inner, inner + 2 * r - 1 - squares
 
 
 def check_sum_identity(trace: QuadrantTrace) -> bool:

@@ -10,8 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from functools import partial
-from itertools import cycle, repeat
+from itertools import cycle
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -31,24 +30,17 @@ from latticircle.signum import CostVariant, assemble_full_circle, generate_quadr
 from latticircle.svg import render_path_svg
 
 
-class _CliError(Exception):
-    def __init__(self, message: str, code: int = 1):
-        super().__init__(message)
-        self.message = message
-        self.code = code
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse parser whose usage errors exit with code 1, not 2."""
 
     def error(self, message):
-        raise _CliError(f"{self.prog}: {message}", 1)
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def format_real(v: float) -> str:
     """12 significant digits, always with a decimal point (3.0 not 3)."""
     s = f"{v:.12g}"
-    if not any(ch in s for ch in ".eE") and s.strip("-").isdigit():
+    if s.lstrip("-").isdigit():
         s += ".0"
     return s
 
@@ -110,69 +102,44 @@ def _full_circle_csv(trace) -> str:
 
 def _cmd_generate(args) -> int:
     trace = generate_quadrant(args.radius, CostVariant(args.cost))
+    full = args.extent == "full"
     if args.format == "csv":
-        if args.extent == "full":
-            text = _full_circle_csv(trace)
-        else:
-            text = _trace_csv(trace)
+        text = _full_circle_csv(trace) if full else _trace_csv(trace)
     else:
-        if args.extent == "full":
-            points: Sequence[Point] = assemble_full_circle(trace).points
-            closed = True
-        else:
-            points = trace.points
-            closed = False
-        text = render_path_svg(points, args.radius, closed, args.overlay_circle)
+        points = assemble_full_circle(trace).points if full else trace.points
+        text = render_path_svg(points, args.radius, full, args.overlay_circle)
     _emit(text, args.out)
     return 0
 
 
 def _read_points_csv(path: str) -> list[Point]:
-    """The (x, y) points of a CSV, read about 1 MiB at a time so that only
-    the points are held.  Blank lines are skipped, header cells may carry
+    """The (x, y) points of a CSV, read one line at a time so that only the
+    points are held.  Blank lines are skipped, header cells may carry
     whitespace, and a bad row is named by its line number in the file."""
-    try:
-        # utf-8-sig drops a leading byte-order mark; text mode turns CRLF into LF
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            lineno = 0
-            for header in fh:
-                lineno += 1
-                if header != "\n":
-                    break
-            else:
-                raise _CliError(f"{path}: empty file", 1)
-            cells = [cell.strip() for cell in header.split(",")]
-            try:
-                pick = itemgetter(cells.index("x"), cells.index("y"))
-            except ValueError:
-                raise _CliError(f"{path}: header must name x and y columns", 1)
-            points: list[Point] = []
-            for chunk in iter(partial(fh.readlines, 1 << 20), []):
-                try:
-                    picked = map(pick, map(str.split, chunk, repeat(",")))
-                    points.extend([(int(x), int(y)) for x, y in picked])
-                except (IndexError, ValueError):
-                    # a blank line or a bad row: rescan this chunk line by line
-                    points.extend(_read_rows(path, chunk, lineno + 1, pick))
-                lineno += len(chunk)
-    except OSError as e:
-        raise _CliError(str(e), 1)
-    return points
-
-
-def _read_rows(path: str, lines: list[str], first: int, pick) -> list[Point]:
-    """The points of ``lines``, the first of which is line ``first`` of the
-    file, skipping blank ones; the first bad row raises with its number."""
-    points = []
-    for lineno, line in enumerate(lines, start=first):
-        row = line.rstrip("\n")
-        if not row:
-            continue
+    # utf-8-sig drops a leading byte-order mark; text mode turns CRLF into LF
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        lines = enumerate(fh, 1)
+        for _, header in lines:
+            if header != "\n":
+                break
+        else:
+            raise ValueError(f"{path}: empty file")
+        cells = [cell.strip() for cell in header.split(",")]
         try:
-            x, y = pick(row.split(","))
-            points.append((int(x), int(y)))
-        except (IndexError, ValueError):
-            raise _CliError(f"{path}:{lineno}: malformed row {row!r}", 1)
+            pick = itemgetter(cells.index("x"), cells.index("y"))
+        except ValueError:
+            raise ValueError(f"{path}: header must name x and y columns")
+        points: list[Point] = []
+        # a decoding error comes from the iteration, outside the row's try
+        for lineno, line in lines:
+            if line == "\n":
+                continue
+            try:
+                x, y = pick(line.split(","))
+                points.append((int(x), int(y)))
+            except (IndexError, ValueError):
+                row = line.rstrip("\n")
+                raise ValueError(f"{path}:{lineno}: malformed row {row!r}")
     return points
 
 
@@ -292,18 +259,12 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _CliError as e:
-        print(e.message, file=sys.stderr)
-        return e.code
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(str(e), file=sys.stderr)
         return 1
     except (OverflowError, MemoryError) as e:
         print(f"arithmetic failure: {e}", file=sys.stderr)
         return 3
-    except OSError as e:
-        print(str(e), file=sys.stderr)
-        return 1
     except SystemExit as e:  # argparse --help
         return int(e.code or 0)
 

@@ -9,6 +9,7 @@ permuting the input never changes the verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable
 
 Point = tuple[int, int]
@@ -54,7 +55,9 @@ def check_path(points: Iterable[Point], mode: str = "open") -> PathValidityRepor
     For every input point, members of the point set at l1 distance exactly
     1 are counted.  Open mode tolerates counts up to 2, closed mode demands
     exactly 2.  Empty input is vacuously valid and flagged with
-    note="empty".
+    note="empty".  Coordinates are read with ``operator.index``, so a
+    non-integer one such as 0.9 raises TypeError instead of being
+    truncated onto another point.
 
     Each point (x, y) is looked up as the int key x*m + y, with
     m = 2*max|y| + 3 over the input.  Every member and every unit neighbor
@@ -72,9 +75,9 @@ def check_path(points: Iterable[Point], mode: str = "open") -> PathValidityRepor
     if not pts:
         return PathValidityReport(True, True, (), note="empty")
 
-    ys = [int(p[1]) for p in pts]
+    ys = [index(p[1]) for p in pts]
     m = 2 * max(max(ys), -min(ys)) + 3
-    keys = [int(p[0]) * m + y for p, y in zip(pts, ys)]
+    keys = [index(p[0]) * m + y for p, y in zip(pts, ys)]
     del ys  # before the set is built, so it adds nothing to the peak
     members = set(keys)
     counts = [

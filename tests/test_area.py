@@ -56,6 +56,26 @@ def test_inner_outer_match_brute_force(r):
     assert inner_outer_areas(r) == brute_inner_outer(r)
 
 
+def two_sum_inner_outer(r):
+    """The former two-pass formulas, one isqrt per column for each count."""
+    rsq = r * r
+    inner = sum(math.isqrt(rsq - i * i) for i in range(1, r + 1))
+    outer = sum(math.isqrt(rsq - i * i - 1) + 1 for i in range(r))
+    return inner, outer
+
+
+def test_inner_outer_matches_the_two_sums():
+    for r in range(1, 3001):
+        assert inner_outer_areas(r) == two_sum_inner_outer(r), r
+
+
+@pytest.mark.parametrize("r", [5, 25, 65, 325, 1105, 5525])
+def test_inner_outer_on_radii_with_many_pythagorean_legs(r):
+    inner, outer = inner_outer_areas(r)
+    assert (inner, outer) == two_sum_inner_outer(r)
+    assert outer - inner < 2 * r - 1  # some r^2 - i^2 is a perfect square
+
+
 def test_inner_outer_rejects_bad_radius():
     with pytest.raises(ValueError):
         inner_outer_areas(0)

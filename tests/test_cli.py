@@ -149,7 +149,7 @@ def test_validate_names_the_physical_line(tmp_path, capsys):
 
 
 def test_validate_names_a_bad_line_past_the_first_chunk(tmp_path, capsys):
-    # about 1.3 MB of rows, so the file is read in more than one chunk
+    # about 1.3 MB of rows, so line numbers must hold across many read buffers
     rows = [f"{i},0,{'p' * 100}" for i in range(12_000)]
     rows.insert(500, "")
     good, rows[11_001] = rows[11_001], "11000,zz,pad"
@@ -320,3 +320,53 @@ def test_python_dash_m_matches_run(capsys):
     assert done.returncode == 0
     assert done.stdout == capsys.readouterr().out.encode("utf-8")
     assert module("pi").returncode == 1
+
+
+# Every error path of `run`, pinned by exit code and stderr.
+
+
+def test_usage_error_is_one_line_naming_the_option(capsys):
+    for argv in (["generate"], ["generate", "--radius", "x"]):
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("latticircle generate: ")
+        assert "--radius" in line
+
+
+def test_help_exits_0(capsys):
+    assert run(["--help"]) == 0
+    assert run(["generate", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: latticircle")
+
+
+def test_missing_paths_are_input_errors(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert run(["generate", "--radius", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"[Errno 2] No such file or directory: {str(out)!r}\n")
+    path = tmp_path / "missing.csv"
+    assert run(["validate", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"[Errno 2] No such file or directory: {str(path)!r}\n")
+
+
+def test_undecodable_byte_is_reported_by_the_codec(tmp_path, capsys):
+    # the bad byte sits past the decoder's first buffers, in a valid row
+    rows = "".join(f"{i},0\n" for i in range(12_000))
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"x,y\n" + rows.encode() + b"0,\xe90\n")
+    assert path.stat().st_size > 64 << 10
+    assert run(["validate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "codec can't decode" in err
+    assert "malformed row" not in err
+
+
+@pytest.mark.parametrize("command", ["generate", "pi", "area"])
+def test_huge_radius_is_an_arithmetic_failure(command, capsys):
+    # the step array's repeat count overflows before anything is allocated
+    assert run([command, "--radius", str(10**30)]) == 3
+    assert capsys.readouterr() == (
+        "", "arithmetic failure: cannot fit 'int' into an index-sized integer\n"
+    )

@@ -98,6 +98,15 @@ def test_mode_is_checked():
         check_path([(0, 0)], "loop")
 
 
+@pytest.mark.parametrize(
+    "pts", [[(0.9, 0.0), (0.2, 0.0)], [(0.9, 0), (1, 0)], [(0, 0), (0, 1.5)]]
+)
+def test_non_integer_coordinates_are_rejected(pts):
+    # int() would truncate the first case into a duplicate of (0, 0)
+    with pytest.raises(TypeError):
+        check_path(pts, "open")
+
+
 @given(
     st.lists(
         st.tuples(st.integers(-6, 6), st.integers(-6, 6)),

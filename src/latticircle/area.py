@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from latticircle.signum import CostVariant, QuadrantTrace, generate_quadrant
 
@@ -25,9 +26,17 @@ def area_recursive(trace: QuadrantTrace) -> int:
     area = r^2 + r(r-1)/2 - sum(k_j); each raises y at the 2r - 1 - k_j
     later points, so sum(y_n) = r(2r - 1) - sum(k_j) = area + (r^2 - r)/2;
     and sum(a_n) = 2 sum(y_n) + sum(r - n) = 2 sum(y_n) + r.
+
+    Only a_0..a_r are streamed, from the first r steps: the trace mirrors in
+    the diagonal (see ``QuadrantTrace``), so a_{2r-n} = a_n and
+    sum_{n<2r} a_n = 2 sum_{n<=r} a_n - a_0 - a_r.  Point r lies on the
+    diagonal, so a_r = 2 y_r, twice the up steps among the first r.
     """
     r = trace.radius
-    return (sum(trace.iter_l1_dists()) - r * r) // 2
+    half = memoryview(trace.steps)[:r]  # a view: no copy of the steps
+    a_r = 2 * half.tobytes().count(1)
+    l1_sum = 2 * sum(accumulate(half, initial=r)) - r - a_r
+    return (l1_sum - r * r) // 2
 
 
 def inner_outer_areas(r: int) -> tuple[int, int]:
@@ -37,24 +46,36 @@ def inner_outer_areas(r: int) -> tuple[int, int]:
     its far corner satisfies (i+1)^2 + (j+1)^2 <= r^2 and as outer when its
     near corner satisfies i^2 + j^2 < r^2.
 
-    Both come from one isqrt per column i in 1..r-1, with h = isqrt(r^2 - i^2).
-    Inner: a far corner at x = i (1 <= i <= r) admits heights 1..h, and
-    column r adds nothing, so inner = sum(h).  Outer: a near corner at
-    x = i admits j with j^2 < r^2 - i^2, i.e. ceil(sqrt(r^2 - i^2)) cells,
-    which is h when r^2 - i^2 = h^2 and h + 1 otherwise; column 0 adds r.
-    So outer = inner + 2r - 1 - P, where P counts the columns whose
-    r^2 - i^2 is a perfect square.
+    Both come from the column heights h_i = isqrt(r^2 - i^2), i in 1..r-1.
+    Inner: a far corner at x = i (1 <= i <= r) admits heights 1..h_i, and
+    column r adds nothing, so inner = sum(h_i), the lattice points
+    (i, j) >= 1 with i^2 + j^2 <= r^2.  Outer: a near corner at x = i admits
+    j with j^2 < r^2 - i^2, i.e. ceil(sqrt(r^2 - i^2)) cells, which is h_i
+    when r^2 - i^2 = h_i^2 and h_i + 1 otherwise; column 0 adds r.  So
+    outer = inner + 2r - 1 - P, where P counts the columns whose r^2 - i^2
+    is a perfect square.
+
+    Only the octant i <= k = isqrt(floor(r^2 / 2)) is walked.  No lattice
+    point lies on the diagonal: 2i^2 = r^2 would make sqrt(2) = r / i
+    rational.  So i <= k exactly when 2i^2 < r^2, and then h_i >= k; a point
+    with i > k has j <= k.  Swapping i and j maps the points with j > k,
+    which number sum_{i<=k} (h_i - k), onto those with i > k, and the k^2
+    points with i, j <= k remain: inner = 2 sum_{i<=k} h_i - k^2.  Likewise
+    the perfect squares r^2 - i^2 = j^2 pair column i with column j != i,
+    one of each pair on either side of k, so P is twice the count for i <= k.
     """
     if r < 1:
         raise ValueError("radius must be >= 1")
     rsq = r * r
-    inner = squares = 0
-    for i in range(1, r):
+    k = math.isqrt(rsq // 2)
+    heights = squares = 0
+    for i in range(1, k + 1):
         n = rsq - i * i
         h = math.isqrt(n)
-        inner += h
+        heights += h
         squares += h * h == n
-    return inner, inner + 2 * r - 1 - squares
+    inner = 2 * heights - k * k
+    return inner, inner + 2 * r - 1 - 2 * squares
 
 
 def check_sum_identity(trace: QuadrantTrace) -> bool:

@@ -8,6 +8,7 @@ endings and 12 significant digits for real values.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from itertools import cycle
@@ -190,6 +191,7 @@ def _cmd_area(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="latticircle", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -19,8 +19,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from itertools import repeat
+from operator import truediv
+from typing import TYPE_CHECKING, Sequence
 
 from latticircle.reference import (
     DiscretizationSource,
@@ -29,6 +30,9 @@ from latticircle.reference import (
     a_param_round,
 )
 from latticircle.signum import CostVariant, generate_quadrant
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class Estimator(enum.Enum):
@@ -86,7 +90,7 @@ def pi_sequence(
 
 def arithmetic_mean_pi(seq: PiSequence) -> float:
     """Arithmetic mean of the ratios: 2 sum(1 / a_n), compensated summation."""
-    return 2 * math.fsum(1 / a for a in seq.l1_values)
+    return 2 * math.fsum(map(truediv, repeat(1), seq.l1_values))
 
 
 def harmonic_mean_pi(seq: PiSequence) -> float:
@@ -101,12 +105,16 @@ def _require_integer_samples(seq: PiSequence) -> None:
 
 def arithmetic_mean_pi_exact(seq: PiSequence) -> Fraction:
     """Arithmetic mean as an exact rational; integer sources only."""
+    from fractions import Fraction  # imported here: it costs every CLI start-up
+
     _require_integer_samples(seq)
     return 2 * sum(Fraction(1, a) for a in seq.l1_values)
 
 
 def harmonic_mean_pi_exact(seq: PiSequence) -> Fraction:
     """Harmonic mean as an exact rational; integer sources only."""
+    from fractions import Fraction
+
     _require_integer_samples(seq)
     return Fraction(8 * seq.radius * seq.radius, sum(seq.l1_values))
 

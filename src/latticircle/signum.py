@@ -122,6 +122,12 @@ class QuadrantTrace:
     ``l1_dists[n]`` the Manhattan distance x + y of point n from the
     center, ``sign_sums[n]`` the running sum of decisions up to and
     including n, and ``xs``, ``ys``, ``points`` the coordinates.
+
+    Every trace mirrors in the diagonal: s_{2r-1-n} = -s_n, so point 2r - n
+    is point n with x and y swapped and a_{2r-n} = a_n for 1 <= n <= 2r - 1.
+    ``_walk_midpoint`` proves it and decides only the first half;
+    ``_walk_predicate`` asserts it.  Reductions may therefore read
+    ``steps[:r]`` alone.
     """
 
     radius: int
@@ -142,7 +148,9 @@ class QuadrantTrace:
 
     @cached_property
     def l1_dists(self) -> tuple[int, ...]:
-        return tuple(self.iter_l1_dists())
+        # a_0..a_r, then a_{r-1}..a_1 again as the mirror a_{2r-n} = a_n
+        half = tuple(accumulate(self.steps[: self.radius], initial=self.radius))
+        return half + half[-2:0:-1]
 
     @cached_property
     def xs(self) -> tuple[int, ...]:
@@ -171,22 +179,47 @@ def _walk_midpoint(r: int) -> array:
     "A linear algorithm for incremental digital display of circular arcs",
     CACM 1977), so no multiplication is needed.  ``generate_quadrant``
     proves that the decisions are those of ``cost_exact``.
+
+    Only the first r steps are decided; the rest mirror them,
+    s_{2r-1-n} = -s_n.  Proof: at (x, y), d = f(x-1, y) with
+    f(i, j) = i^2 + i + j^2 + j + 1 - r^2, so the walk steps up exactly
+    when the unit cell [x-1, x] x [y, y+1] lies in
+    C = {(i, j) >= 0 : f(i, j) <= 0}, the cells whose centres satisfy
+    (2i+1)^2 + (2j+1)^2 <= 4r^2 - 2.  f grows in i and in j, so C is a
+    down-set: column i of C is the cells j < h_i, with h_i nonincreasing,
+    h_0 = r (f(0, r-1) = 1 - r <= 0 < f(0, r)) and h_r = 0.  By induction
+    on x from r down to 1, the walk reaches x at height h_x <= h_{x-1},
+    climbs to h_{x-1} and steps left; so the cells below and left of the
+    path are exactly C, and the path is C's boundary staircase from (r, 0)
+    to (0, r).  Such a staircase is determined by the cells below it, and
+    f(i, j) = f(j, i), so reflection in the diagonal maps C, and hence the
+    path, onto itself, traversed backwards.  The point (x, y) is point
+    n = r - x + y, so point 2r - n is the reflection of point n, and step n
+    reflected and run backwards is step 2r - 1 - n with up and left
+    swapped: s_{2r-1-n} = -s_n.  Point r lies on the diagonal.
+
+    The array starts as all left steps, so a left step at n writes the
+    mirrored up step at 2r - 1 - n and an up step writes only itself.
     """
-    n_steps = 2 * r
-    steps = array("b", [-1]) * n_steps  # every step left until set
+    last = 2 * r - 1
+    steps = array("b", [-1]) * (last + 1)  # every step left until set
     d = 1 - r
     up = 2  # 2y + 2
     left = 2 * r - 2  # 2x - 2
-    for n in range(n_steps):
+    for n in range(r):
         if d <= 0:
             steps[n] = 1
             d += up
             up += 2
         else:
+            steps[last - n] = 1
             d -= left
             left -= 2
-    assert (left // 2 + 1, up // 2 - 1) == (0, r), "quarter turn must end at (0, r)"
+    assert left // 2 + 1 == up // 2 - 1, "half turn must end on the diagonal"
     return steps
+
+
+_NEGATE = bytes.maketrans(b"\x01\xff", b"\xff\x01")  # s -> -s on signed bytes
 
 
 def _walk_predicate(r: int, decide) -> array:
@@ -202,6 +235,9 @@ def _walk_predicate(r: int, decide) -> array:
         else:
             x -= 1
     assert (x, y) == (0, r), "quarter turn must end one step past (1, r)"
+    # s_{2r-1-n} = -s_n, which lets every reduction read the first half only
+    mirrored = steps[r - 1 :: -1].tobytes().translate(_NEGATE)
+    assert steps[r:].tobytes() == mirrored, "quarter turn must mirror in the diagonal"
     return steps
 
 

@@ -1,8 +1,10 @@
-"""Shared helpers: memoized traces so the suite builds each one once."""
+"""Shared helpers: memoized traces so the suite builds each one once, and
+an area oracle that does not walk."""
 
 from __future__ import annotations
 
 import functools
+import math
 
 from latticircle.signum import CostVariant, QuadrantTrace, generate_quadrant
 
@@ -10,3 +12,15 @@ from latticircle.signum import CostVariant, QuadrantTrace, generate_quadrant
 @functools.lru_cache(maxsize=None)
 def cached_trace(r: int, variant: CostVariant = CostVariant.EXACT) -> QuadrantTrace:
     return generate_quadrant(r, variant)
+
+
+def cell_centres_in_disc(r: int) -> int:
+    """#{i, j >= 0 : (2i+1)^2 + (2j+1)^2 <= 4r^2 - 2}, the cells whose centres
+    lie in the disc of radius^2 r^2 - 1/2, which is the quarter path's area.
+
+    Column i holds the odd c = 2j + 1 with c^2 <= 4r^2 - 2 - (2i+1)^2; that
+    bound is positive for every 2i + 1 < 2r, and (isqrt(bound) + 1) // 2
+    odd numbers are at most its root.
+    """
+    q = 4 * r * r - 2
+    return sum((math.isqrt(q - c * c) + 1) // 2 for c in range(1, 2 * r, 2))

@@ -4,7 +4,7 @@ from operator import gt
 
 import pytest
 
-from conftest import cached_trace
+from conftest import cached_trace, cell_centres_in_disc
 from latticircle.area import (
     area_recursive,
     area_report,
@@ -42,6 +42,11 @@ def test_area_from_l1_sum_matches_column_sum():
     for r in range(1, 2001):
         trace = generate_quadrant(r)
         assert area_recursive(trace) == area_by_columns(trace), r
+
+
+def test_area_counts_the_cell_centres_in_the_disc():
+    for r in range(1, 2001):
+        assert area_recursive(generate_quadrant(r)) == cell_centres_in_disc(r), r
 
 
 def test_inner_outer_small_radii():

@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import latticircle
+from latticircle import cli
 from latticircle.cli import format_real, parse_radii_spec, run
 from latticircle.reference import midpoint_quadrant
 
@@ -304,22 +305,43 @@ def test_validate_reads_bom_and_crlf(tmp_path, capsys):
     assert capsys.readouterr().out == "mode=open points=2 valid=true\n"
 
 
-def test_python_dash_m_matches_run(capsys):
+def run_module(*argv, code=None):
+    """``python -m latticircle ARGV`` (or ``python -c CODE``) in a fresh process."""
     env = dict(os.environ)
     src = str(pathlib.Path(latticircle.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    command = ["-c", code] if code else ["-m", "latticircle", *argv]
+    return subprocess.run(
+        [sys.executable, *command], capture_output=True, env=env, timeout=60
+    )
 
-    def module(*argv):
-        return subprocess.run(
-            [sys.executable, "-m", "latticircle", *argv],
-            capture_output=True, env=env, timeout=60,
-        )
 
-    done = module("pi", "--radius", "5")
+def test_python_dash_m_matches_run(capsys):
+    done = run_module("pi", "--radius", "5")
     assert run(["pi", "--radius", "5"]) == 0
     assert done.returncode == 0
     assert done.stdout == capsys.readouterr().out.encode("utf-8")
-    assert module("pi").returncode == 1
+    assert run_module("pi").returncode == 1
+
+
+def test_one_parser_serves_every_run(capsys):
+    calls = (
+        ["area", "--radius", "7", "--with-bounds"],
+        ["pi", "--radius", "7", "--estimator", "harmonic"],
+        ["generate", "--radius", "3"],
+    )
+    in_process = []
+    for argv in calls:
+        assert run(argv) == 0
+        in_process.append(capsys.readouterr().out.encode("utf-8"))
+    assert in_process == [run_module(*argv).stdout for argv in calls]
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_cli_import_loads_neither_fractions_nor_decimal():
+    code = "import sys, latticircle.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    done = run_module(code=code)
+    assert (done.returncode, done.stdout) == (0, b"[]\n")
 
 
 # Every error path of `run`, pinned by exit code and stderr.

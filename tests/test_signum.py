@@ -1,10 +1,12 @@
 import decimal
 import math
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cached_trace
+from conftest import cached_trace, cell_centres_in_disc
+from latticircle.area import area_recursive
 from latticircle.lattice import check_path, l2_norm_sq
 from latticircle.signum import (
     CostVariant,
@@ -295,3 +297,63 @@ def test_trace_stores_one_byte_per_step(variant):
     trace = generate_quadrant(9, variant)
     assert trace.steps.itemsize == 1
     assert len(trace.steps) == 18
+
+
+def full_walk_midpoint(r):
+    """The midpoint walker as it was before the mirror: all 2r steps decided."""
+    n_steps = 2 * r
+    steps = array("b", [-1]) * n_steps
+    d = 1 - r
+    up = 2
+    left = 2 * r - 2
+    for n in range(n_steps):
+        if d <= 0:
+            steps[n] = 1
+            d += up
+            up += 2
+        else:
+            d -= left
+            left -= 2
+    assert (left // 2 + 1, up // 2 - 1) == (0, r)
+    return steps
+
+
+def is_mirrored(steps):
+    """s_{2r-1-n} = -s_n for every n."""
+    signs = list(steps)
+    return signs[::-1] == [-s for s in signs]
+
+
+def test_exact_trace_mirrors_in_the_diagonal():
+    for r in range(1, 3001):
+        assert is_mirrored(generate_quadrant(r).steps), r
+
+
+@pytest.mark.parametrize(
+    "variant, radii",
+    [(CostVariant.SIMPLIFIED, range(1, 601)), (CostVariant.APPROX, range(5, 601))],
+)
+def test_predicate_traces_mirror_in_the_diagonal(variant, radii):
+    for r in radii:
+        assert is_mirrored(generate_quadrant(r, variant).steps), (variant, r)
+
+
+def test_half_walk_matches_the_full_walk():
+    radii = [*range(1, 3001), *(2**k + e for k in range(1, 22) for e in (-1, 1))]
+    for r in radii:
+        assert generate_quadrant(r).steps == full_walk_midpoint(r), r
+
+
+@pytest.mark.parametrize("variant", list(CostVariant))
+def test_l1_dists_from_the_half_match_the_stream(variant):
+    for r in range(5 if variant is CostVariant.APPROX else 1, 101):
+        trace = cached_trace(r, variant)
+        assert trace.l1_dists == tuple(trace.iter_l1_dists()), r
+
+
+@pytest.mark.slow
+def test_half_walk_and_area_exhaustively():
+    for r in range(1, 20_001):
+        trace = generate_quadrant(r)
+        assert trace.steps == full_walk_midpoint(r), r
+        assert area_recursive(trace) == cell_centres_in_disc(r), r

@@ -8,7 +8,7 @@ import math
 import pathlib
 
 from latticircle.area import area_report
-from latticircle.cli import parse_radii_spec
+from latticircle.cli import format_real, parse_radii_spec
 
 
 def main() -> None:
@@ -37,7 +37,7 @@ def main() -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("r,area,inner,outer,ratio,abs_error\n")
             for r, area, inner, outer, ratio, err in rows:
-                fh.write(f"{r},{area},{inner},{outer},{ratio:.12g},{err:.12g}\n")
+                fh.write(f"{r},{area},{inner},{outer},{format_real(ratio)},{format_real(err)}\n")
         print(f"wrote {path}")
 
 

@@ -82,8 +82,7 @@ def check_sum_identity(trace: QuadrantTrace) -> bool:
     """Running decision sums tie to the area:
     sum_{k=1}^{2r-2} sign_sums[k-1] == 2 area - r^2 - 1."""
     r = trace.radius
-    lhs = sum(trace.sign_sums[k - 1] for k in range(1, 2 * r - 1))
-    return lhs == 2 * area_recursive(trace) - r * r - 1
+    return sum(trace.sign_sums[:-2]) == 2 * area_recursive(trace) - r * r - 1
 
 
 @dataclass(frozen=True)

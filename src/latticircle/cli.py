@@ -11,7 +11,7 @@ import argparse
 import functools
 import math
 import sys
-from itertools import cycle
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -86,8 +86,10 @@ def parse_radii_spec(spec: str) -> list[int]:
 
 def _rows_csv(trace, points: Iterable[Point]) -> str:
     """CSV rows n,x,y,s,a,S; s, a and S repeat with period 2r, because a
-    quarter turn keeps the decisions and preserves a = |x| + |y|."""
-    rows = zip(points, cycle(trace.signs), cycle(trace.l1_dists), cycle(trace.sign_sums))
+    quarter turn keeps the decisions and preserves a = |x| + |y|.  Each
+    column is repeated in place, without the copy ``itertools.cycle`` keeps."""
+    columns = (trace.steps, trace.l1_dists, trace.sign_sums)
+    rows = zip(points, *(chain.from_iterable(repeat(col)) for col in columns))
     lines = ["n,x,y,s,a,S"]
     lines.extend(f"{n},{x},{y},{s},{a},{S}" for n, ((x, y), s, a, S) in enumerate(rows))
     return "\n".join(lines) + "\n"
@@ -206,8 +208,8 @@ def _build_parser() -> _Parser:
 
     def add_estimate(p):
         p.add_argument("--estimator", choices=[e.value for e in Estimator], default="arithmetic")
-        sources = [s for s in DiscretizationSource if s is not DiscretizationSource.MIDPOINT]
-        p.add_argument("--source", choices=[s.value for s in sources], default="signum")
+        sources = [s.value for s in DiscretizationSource]
+        p.add_argument("--source", choices=sources, default="signum")
         add_cost(p)
 
     g = sub.add_parser("generate", help="emit one constructed circle as CSV or SVG")

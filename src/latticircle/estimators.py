@@ -68,19 +68,13 @@ def pi_sequence(
     source: DiscretizationSource,
     variant: CostVariant = CostVariant.EXACT,
 ) -> PiSequence:
-    """Build the 2r-sample ratio sequence for one source.
-
-    The midpoint rasterizer is excluded: it emits a different number of
-    points per quadrant, so the 2r-sample estimators do not apply to it.
-    """
+    """Build the 2r-sample ratio sequence for one source."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
     if source is DiscretizationSource.SIGNUM:
         l1s: Sequence = generate_quadrant(radius, variant).l1_dists
     else:
-        sampler = _PARAM_SAMPLERS.get(source)
-        if sampler is None:
-            raise ValueError("midpoint baseline has no 2r-sample pi sequence")
+        sampler = _PARAM_SAMPLERS[source]
         l1s = [sampler(radius, n) for n in range(2 * radius)]
     low = min(l1s)
     if low <= 0:

@@ -23,7 +23,6 @@ class DiscretizationSource(enum.Enum):
     PARAM_EXACT = "param-exact"
     PARAM_FLOOR = "param-floor"
     PARAM_ROUND = "param-round"
-    MIDPOINT = "midpoint"
 
 
 def phi_n(r: int, n: int) -> float:

@@ -124,10 +124,18 @@ class QuadrantTrace:
     including n, and ``xs``, ``ys``, ``points`` the coordinates.
 
     Every trace mirrors in the diagonal: s_{2r-1-n} = -s_n, so point 2r - n
-    is point n with x and y swapped and a_{2r-n} = a_n for 1 <= n <= 2r - 1.
-    ``_walk_midpoint`` proves it and decides only the first half;
-    ``_walk_predicate`` asserts it.  Reductions may therefore read
-    ``steps[:r]`` alone.
+    is point n with x and y swapped.  ``_walk_midpoint`` proves it and
+    decides only the first half; ``_walk_predicate`` asserts it, so it
+    holds for every variant.  The views build their second halves from it,
+    and mirrored entries share their int objects:
+
+    * ``l1_dists`` and ``sign_sums`` read the first half, ``steps[:r]``:
+      a_{2r-n} = a_n for 1 <= n <= 2r - 1, and S_n = a_{n+1} - r gives
+      S_{2r-2-n} = S_n for 0 <= n <= 2r - 2, while S_{2r-1} = 0 because
+      the r up steps and the r left steps cancel;
+    * ``ys`` mirrors ``xs``: y_0 = 0 and y_{2r-n} = x_n for 1 <= n <= 2r - 1.
+
+    Reductions may likewise read ``steps[:r]`` alone.
     """
 
     radius: int
@@ -140,15 +148,11 @@ class QuadrantTrace:
 
     @cached_property
     def sign_sums(self) -> tuple[int, ...]:
-        return tuple(accumulate(self.steps))
-
-    def iter_l1_dists(self):
-        """Stream of ``l1_dists`` without building it: a_0 = r, a_{n+1} = a_n + s_n."""
-        return accumulate(self.steps[:-1], initial=self.radius)
+        half = tuple(accumulate(self.steps[: self.radius]))
+        return half + half[-2::-1] + (0,)
 
     @cached_property
     def l1_dists(self) -> tuple[int, ...]:
-        # a_0..a_r, then a_{r-1}..a_1 again as the mirror a_{2r-n} = a_n
         half = tuple(accumulate(self.steps[: self.radius], initial=self.radius))
         return half + half[-2:0:-1]
 
@@ -160,9 +164,7 @@ class QuadrantTrace:
 
     @cached_property
     def ys(self) -> tuple[int, ...]:
-        # y rises by one on each up step (byte 0x01); left steps are zeroed
-        ups = array("b", self.steps.tobytes().replace(b"\xff", b"\x00"))
-        return tuple(accumulate(ups[:-1], initial=0))
+        return (0, *self.xs[:0:-1])
 
     @cached_property
     def points(self) -> tuple[Point, ...]:
@@ -291,7 +293,6 @@ class CirclePath:
 
     radius: int
     points: tuple[Point, ...]
-    closed: bool
 
 
 def assemble_full_circle(trace: QuadrantTrace) -> CirclePath:
@@ -304,6 +305,7 @@ def assemble_full_circle(trace: QuadrantTrace) -> CirclePath:
     columns directly.
     """
     xs, ys = trace.xs, trace.ys
-    neg_xs, neg_ys = tuple(map(neg, xs)), tuple(map(neg, ys))
+    neg_xs = tuple(map(neg, xs))
+    neg_ys = (0, *neg_xs[:0:-1])  # the mirror y_{2r-n} = x_n, negated
     pts = (*zip(xs, ys), *zip(neg_ys, xs), *zip(neg_xs, neg_ys), *zip(ys, neg_xs))
-    return CirclePath(radius=trace.radius, points=pts, closed=True)
+    return CirclePath(radius=trace.radius, points=pts)

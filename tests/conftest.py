@@ -1,8 +1,9 @@
-"""Shared helpers: memoized traces so the suite builds each one once, and
-an area oracle that does not walk."""
+"""Shared helpers: memoized traces so the suite builds each one once, an
+area oracle that does not walk, and a sign oracle in decimal arithmetic."""
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 
@@ -24,3 +25,16 @@ def cell_centres_in_disc(r: int) -> int:
     """
     q = 4 * r * r - 2
     return sum((math.isqrt(q - c * c) + 1) // 2 for c in range(1, 2 * r, 2))
+
+
+def decimal_step_sign(x: int, y: int, r: int) -> int:
+    """Independent check of ``cost_exact``: the sign of the radial-deviation
+    difference evaluated with 60 significant digits, far beyond what
+    distinguishing two integer radicands can require at the tested sizes."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        rr = decimal.Decimal(r)
+        d_left = abs(rr - decimal.Decimal((x - 1) ** 2 + y * y).sqrt())
+        d_up = abs(rr - decimal.Decimal(x * x + (y + 1) ** 2).sqrt())
+        diff = d_left - d_up
+    return -1 if diff <= 0 else 1

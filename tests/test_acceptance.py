@@ -5,13 +5,12 @@ any pytest run.  Tolerances and radius ranges are pinned; loosening them
 is not an option when a check fails.
 """
 
-import decimal
 import math
 from fractions import Fraction
 
 import pytest
 
-from conftest import cached_trace
+from conftest import cached_trace, decimal_step_sign
 from latticircle.area import area_recursive, check_sum_identity, inner_outer_areas
 from latticircle.estimators import (
     arithmetic_mean_pi,
@@ -104,24 +103,12 @@ def test_acceptance_2_cost_variant_equivalence(verdict):
     verdict(2, "cost variants agree bitwise (simplified r 1..512, approx r 5..512)", check)
 
 
-def _decimal_step_sign(x, y, r):
-    # 60 significant digits; far beyond what distinguishing two integer
-    # radicands can require at these sizes
-    with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        rr = decimal.Decimal(r)
-        d_left = abs(rr - decimal.Decimal((x - 1) ** 2 + y * y).sqrt())
-        d_up = abs(rr - decimal.Decimal(x * x + (y + 1) ** 2).sqrt())
-        diff = d_left - d_up
-    return -1 if diff <= 0 else 1
-
-
 def test_acceptance_3_exact_sign_correctness(verdict):
     def check(log):
         for r in range(1, 65):
             t = cached_trace(r)
             for n in range(2 * r):
-                assert t.signs[n] == _decimal_step_sign(t.xs[n], t.ys[n], r)
+                assert t.signs[n] == decimal_step_sign(t.xs[n], t.ys[n], r)
 
     verdict(3, "integer sign predicate matches 60-digit evaluation on every step, r 1..64", check)
 

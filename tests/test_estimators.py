@@ -58,11 +58,6 @@ def test_signum_ratio_bounds(r):
         assert lower - 1e-12 <= p <= 4.0
 
 
-def test_midpoint_has_no_sequence():
-    with pytest.raises(ValueError):
-        pi_sequence(5, DiscretizationSource.MIDPOINT)
-
-
 def test_arithmetic_examples():
     assert arithmetic_mean_pi(pi_sequence(1, SIGNUM)) == pytest.approx(3.0, abs=1e-15)
     assert arithmetic_mean_pi(pi_sequence(2, SIGNUM)) == pytest.approx(10 / 3, abs=1e-15)

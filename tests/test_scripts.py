@@ -7,7 +7,6 @@ import sys
 import xml.etree.ElementTree as ET
 
 import latticircle
-from latticircle.area import area_report
 from latticircle.cli import parse_radii_spec, run
 
 SCRIPTS = pathlib.Path(__file__).parents[1] / "scripts"
@@ -40,7 +39,7 @@ def test_run_pi_sweeps_writes_what_sweep_writes(tmp_path):
         assert path.read_bytes() == want.read_bytes()
 
 
-def test_area_convergence_writes_one_row_per_radius(tmp_path):
+def test_area_convergence_writes_one_row_per_radius(tmp_path, capsys):
     out = tmp_path / "area.csv"
     script("area_convergence.py", "--max-radius", "50", "--samples", "4", "--out", str(out))
     header, *rows = out.read_text().splitlines()
@@ -48,8 +47,9 @@ def test_area_convergence_writes_one_row_per_radius(tmp_path):
     radii = parse_radii_spec("log:1:50:4")
     assert len(rows) == len(radii)
     for r, row in zip(radii, rows):
-        rep = area_report(r)
-        assert row.split(",")[:4] == [str(v) for v in (r, rep.area, rep.inner, rep.outer)]
+        # the first five cells are what `latticircle area --with-bounds` prints
+        assert run(["area", "--radius", str(r), "--with-bounds"]) == 0
+        assert row.split(",")[:5] == capsys.readouterr().out.rstrip("\n").split(",")
 
 
 def test_render_gallery_writes_eight_svgs(tmp_path):

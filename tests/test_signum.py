@@ -1,11 +1,12 @@
-import decimal
 import math
 from array import array
+from itertools import accumulate, chain
+from operator import eq, neg
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cached_trace, cell_centres_in_disc
+from conftest import cached_trace, cell_centres_in_disc, decimal_step_sign
 from latticircle.area import area_recursive
 from latticircle.lattice import check_path, l2_norm_sq
 from latticircle.signum import (
@@ -17,18 +18,6 @@ from latticircle.signum import (
     generate_quadrant,
     sgn,
 )
-
-
-def highprec_step_sign(x, y, r, prec=60):
-    """Independent check: evaluate the radial-deviation difference with
-    60-digit decimals and take its sign."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = prec
-        rr = decimal.Decimal(r)
-        d_left = abs(rr - decimal.Decimal((x - 1) ** 2 + y * y).sqrt())
-        d_up = abs(rr - decimal.Decimal(x * x + (y + 1) ** 2).sqrt())
-        diff = d_left - d_up
-    return -1 if diff <= 0 else 1
 
 
 def test_sgn_tie_goes_negative():
@@ -199,7 +188,6 @@ def test_full_circle_r1():
         (1, 0), (1, 1), (0, 1), (-1, 1),
         (-1, 0), (-1, -1), (0, -1), (1, -1),
     )
-    assert circle.closed
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 7, 30, 101])
@@ -222,7 +210,7 @@ quadrant_point_st = st.tuples(
 @given(quadrant_point_st, st.integers(1, 10_000))
 def test_cost_exact_agrees_with_highprec_decimals(p, r):
     x, y = p
-    assert cost_exact(x, y, r) == highprec_step_sign(x, y, r)
+    assert cost_exact(x, y, r) == decimal_step_sign(x, y, r)
 
 
 @settings(max_examples=300)
@@ -344,11 +332,55 @@ def test_half_walk_matches_the_full_walk():
         assert generate_quadrant(r).steps == full_walk_midpoint(r), r
 
 
+def full_length_ys(trace):
+    """ys as accumulated before the mirror: y rises by one on each up step
+    (byte 0x01), with the left steps zeroed."""
+    ups = array("b", trace.steps.tobytes().replace(b"\xff", b"\x00"))
+    return tuple(accumulate(ups[:-1], initial=0))
+
+
+def full_length_sign_sums(trace):
+    return tuple(accumulate(trace.steps))
+
+
+def full_length_l1_dists(trace):
+    return tuple(accumulate(trace.steps[:-1], initial=trace.radius))
+
+
+def full_length_circle(xs, ys):
+    """The four quarter turns, each column negated by ``map(neg, ...)``; an
+    iterator, so no second 8r-tuple is held."""
+    return chain(
+        zip(xs, ys), zip(map(neg, ys), xs), zip(map(neg, xs), map(neg, ys)), zip(ys, map(neg, xs))
+    )
+
+
+def assert_views_match_full_length(trace):
+    label = (trace.variant, trace.radius)
+    ys = full_length_ys(trace)
+    assert trace.ys == ys, label
+    assert trace.sign_sums == full_length_sign_sums(trace), label
+    assert trace.l1_dists == full_length_l1_dists(trace), label
+    circle = assemble_full_circle(trace).points
+    assert len(circle) == 8 * trace.radius, label
+    assert all(map(eq, circle, full_length_circle(trace.xs, ys))), label
+
+
 @pytest.mark.parametrize("variant", list(CostVariant))
 def test_l1_dists_from_the_half_match_the_stream(variant):
-    for r in range(5 if variant is CostVariant.APPROX else 1, 101):
-        trace = cached_trace(r, variant)
-        assert trace.l1_dists == tuple(trace.iter_l1_dists()), r
+    radii = range(5 if variant is CostVariant.APPROX else 1, 601)
+    if variant is CostVariant.EXACT:
+        radii = [*radii, *(2**k + e for k in range(1, 18) for e in (-1, 1))]
+    for r in radii:
+        assert_views_match_full_length(generate_quadrant(r, variant))
+
+
+def test_mirrored_views_share_their_ints():
+    r = 1000
+    trace = generate_quadrant(r)
+    xs, ys, sign_sums = trace.xs, trace.ys, trace.sign_sums
+    assert all(ys[2 * r - n] is xs[n] for n in range(1, 2 * r))
+    assert all(sign_sums[2 * r - 2 - n] is sign_sums[n] for n in range(2 * r - 1))
 
 
 @pytest.mark.slow
@@ -357,3 +389,5 @@ def test_half_walk_and_area_exhaustively():
         trace = generate_quadrant(r)
         assert trace.steps == full_walk_midpoint(r), r
         assert area_recursive(trace) == cell_centres_in_disc(r), r
+        assert trace.ys == full_length_ys(trace), r
+        assert trace.sign_sums == full_length_sign_sums(trace), r

@@ -10,8 +10,9 @@ brackets that area, and 4 area / r^2 approaches pi as r grows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
+from operator import index
+from typing import NamedTuple
 
 from latticircle.signum import CostVariant, QuadrantTrace, generate_quadrant
 
@@ -85,8 +86,7 @@ def check_sum_identity(trace: QuadrantTrace) -> bool:
     return sum(trace.sign_sums[:-2]) == 2 * area_recursive(trace) - r * r - 1
 
 
-@dataclass(frozen=True)
-class AreaReport:
+class AreaReport(NamedTuple):
     """Area of one quarter path with its cell-count bracket and pi ratio."""
 
     radius: int
@@ -101,6 +101,7 @@ def area_report(
 ) -> AreaReport:
     """Generate the trace for ``radius`` and report area, bounds and ratio;
     without ``with_bounds`` the bounds are skipped and read None."""
+    radius = index(radius)
     trace = generate_quadrant(radius, variant)
     area = area_recursive(trace)
     inner, outer = inner_outer_areas(radius) if with_bounds else (None, None)

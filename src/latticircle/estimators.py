@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from itertools import repeat
-from operator import truediv
-from typing import TYPE_CHECKING, Sequence
+from operator import index, truediv
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from latticircle.reference import (
     DiscretizationSource,
@@ -42,8 +41,7 @@ class Estimator(enum.Enum):
     HARMONIC = "harmonic"
 
 
-@dataclass(frozen=True)
-class PiSequence:
+class PiSequence(NamedTuple):
     """Per-sample ratios 4r / a_n for one discretization of radius r."""
 
     radius: int
@@ -69,6 +67,7 @@ def pi_sequence(
     variant: CostVariant = CostVariant.EXACT,
 ) -> PiSequence:
     """Build the 2r-sample ratio sequence for one source."""
+    radius = index(radius)
     if radius < 1:
         raise ValueError("radius must be >= 1")
     if source is DiscretizationSource.SIGNUM:
@@ -132,8 +131,7 @@ def harmonic_asymptote() -> float:
     return 16 / (math.pi + 2)
 
 
-@dataclass(frozen=True)
-class ConvergenceRecord:
+class ConvergenceRecord(NamedTuple):
     """One sweep row: estimate at radius r against its reference value.
 
     ``target_note`` is empty when the target is a known limit and holds
@@ -168,6 +166,7 @@ def estimate(
     variant: CostVariant = CostVariant.EXACT,
 ) -> ConvergenceRecord:
     """The estimate at one radius against its target, as one sweep row."""
+    radius = index(radius)
     seq = pi_sequence(radius, source, variant)
     mean = arithmetic_mean_pi if estimator is Estimator.ARITHMETIC else harmonic_mean_pi
     value = mean(seq)

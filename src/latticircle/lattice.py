@@ -8,9 +8,8 @@ permuting the input never changes the verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 Point = tuple[int, int]
 
@@ -33,8 +32,7 @@ def rotate90(p: Point, k: int) -> Point:
     return x, y
 
 
-@dataclass(frozen=True)
-class PathValidityReport:
+class PathValidityReport(NamedTuple):
     """Verdicts of a path check plus per-index violations.
 
     ``violations`` holds (index, neighbor_count) pairs for the requested

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import enum
 from array import array
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from operator import neg
+from operator import index, neg
+from typing import NamedTuple
 
 from latticircle.lattice import Point
 
@@ -111,7 +111,6 @@ def cost_approx(a: int, c: int, r: int) -> int:
     return -sgn(a * a + c * c + 1 - 2 * r * r)
 
 
-@dataclass(frozen=True)
 class QuadrantTrace:
     """Complete record of one quarter-circle recursion.
 
@@ -138,9 +137,10 @@ class QuadrantTrace:
     Reductions may likewise read ``steps[:r]`` alone.
     """
 
-    radius: int
-    variant: CostVariant
-    steps: array = field(hash=False)
+    def __init__(self, radius: int, variant: CostVariant, steps: array) -> None:
+        self.radius = radius
+        self.variant = variant
+        self.steps = steps
 
     @cached_property
     def signs(self) -> tuple[int, ...]:
@@ -248,8 +248,11 @@ def generate_quadrant(r: int, variant: CostVariant = CostVariant.EXACT) -> Quadr
 
     The trace stops one step short of the vertical axis; a final leftward
     step from the last point would land on (0, r), which belongs to the
-    next quadrant.  ``simplified`` and ``approx`` call their predicate at
-    every step; ``exact`` runs ``_walk_midpoint``, which decides exactly as
+    next quadrant.  ``r`` is read with ``operator.index``, so ``True`` walks
+    radius 1 and a float such as 2.0 raises TypeError before any work.
+
+    ``simplified`` and ``approx`` call their predicate at every step;
+    ``exact`` runs ``_walk_midpoint``, which decides exactly as
     ``cost_exact`` does, by the following argument (compare McIlroy, "Best
     approximate circles on integer grids", ACM TOG 1983).
 
@@ -276,6 +279,7 @@ def generate_quadrant(r: int, variant: CostVariant = CostVariant.EXACT) -> Quadr
     At the origin the argument fails (u = v = 1) and indeed the rules
     differ there for r = 1, but the walk never visits it.
     """
+    r = index(r)
     if r < 1:
         raise ValueError("radius must be >= 1")
     if variant is CostVariant.EXACT:
@@ -287,8 +291,7 @@ def generate_quadrant(r: int, variant: CostVariant = CostVariant.EXACT) -> Quadr
     return QuadrantTrace(radius=r, variant=variant, steps=steps)
 
 
-@dataclass(frozen=True)
-class CirclePath:
+class CirclePath(NamedTuple):
     """An ordered sequence of lattice points tracing a circle or an arc."""
 
     radius: int

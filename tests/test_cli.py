@@ -133,6 +133,11 @@ def test_validate_malformed_rows(tmp_path, capsys):
     path.write_text("u,v\n1,2\n")
     assert run(["validate", str(path)]) == 1
     assert run(["validate", str(tmp_path / "missing.csv")]) == 1
+    capsys.readouterr()
+    # quoted cells are not unquoted: the row is malformed like any other
+    path.write_text('x,y\n"1","0"\n')
+    assert run(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"{path}:2: malformed row '\"1\",\"0\"'\n"
 
 
 def test_validate_strips_header_cells(tmp_path, capsys):
@@ -338,8 +343,13 @@ def test_one_parser_serves_every_run(capsys):
     assert cli._build_parser() is cli._build_parser()
 
 
-def test_cli_import_loads_neither_fractions_nor_decimal():
-    code = "import sys, latticircle.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+def test_cli_import_loads_no_exact_arithmetic_or_code_generation():
+    # only the modules the import adds count, whatever the host's site preloads
+    code = (
+        "import sys; before = set(sys.modules); import latticircle.cli; "
+        "added = set(sys.modules) - before; "
+        "print(sorted({'fractions', 'decimal', 'dataclasses', 'inspect'} & added))"
+    )
     done = run_module(code=code)
     assert (done.returncode, done.stdout) == (0, b"[]\n")
 

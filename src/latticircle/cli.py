@@ -267,7 +267,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(str(e), file=sys.stderr)
         return 1
     except (OverflowError, MemoryError) as e:
-        print(f"arithmetic failure: {e}", file=sys.stderr)
+        # MemoryError() carries no message; name the failure instead
+        print(f"arithmetic failure: {str(e) or type(e).__name__}", file=sys.stderr)
         return 3
     except SystemExit as e:  # argparse --help
         return int(e.code or 0)

@@ -24,9 +24,9 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from latticircle.reference import (
     DiscretizationSource,
-    a_param_exact,
-    a_param_floor,
-    a_param_round,
+    param_exact_samples,
+    param_floor_samples,
+    param_round_samples,
 )
 from latticircle.signum import CostVariant, generate_quadrant
 
@@ -55,9 +55,9 @@ class PiSequence(NamedTuple):
 
 
 _PARAM_SAMPLERS = {
-    DiscretizationSource.PARAM_EXACT: a_param_exact,
-    DiscretizationSource.PARAM_FLOOR: a_param_floor,
-    DiscretizationSource.PARAM_ROUND: a_param_round,
+    DiscretizationSource.PARAM_EXACT: param_exact_samples,
+    DiscretizationSource.PARAM_FLOOR: param_floor_samples,
+    DiscretizationSource.PARAM_ROUND: param_round_samples,
 }
 
 
@@ -66,15 +66,17 @@ def pi_sequence(
     source: DiscretizationSource,
     variant: CostVariant = CostVariant.EXACT,
 ) -> PiSequence:
-    """Build the 2r-sample ratio sequence for one source."""
+    """Build the 2r-sample ratio sequence for one source.
+
+    An angle-sampled source whose 2r samples cannot be indexed raises
+    OverflowError before any sampling."""
     radius = index(radius)
     if radius < 1:
         raise ValueError("radius must be >= 1")
     if source is DiscretizationSource.SIGNUM:
         l1s: Sequence = generate_quadrant(radius, variant).l1_dists
     else:
-        sampler = _PARAM_SAMPLERS[source]
-        l1s = [sampler(radius, n) for n in range(2 * radius)]
+        l1s = _PARAM_SAMPLERS[source](radius)
     low = min(l1s)
     if low <= 0:
         raise ValueError(f"nonpositive Manhattan distance {low} at radius {radius}")

@@ -2,7 +2,12 @@
 
 The angle samples place 2r points on the quarter circle at phi = n pi / (4r);
 the floor and round variants snap those samples to the lattice.  The
-midpoint rasterizer is the textbook integer scheme with second-order
+``a_param_*`` functions define one sample each, with range checks.  The
+``param_*_samples`` functions return all 2r samples of a radius in one pass,
+with the same floating-point operations in the same order, so each sample
+equals its ``a_param_*`` value bit for bit.
+
+The midpoint rasterizer is the textbook integer scheme with second-order
 increments, kept verbatim including the seam pixels its eight-way plotter
 emits twice, so its output doubles as a known-invalid baseline for the
 path checker.
@@ -12,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 
 from latticircle.lattice import Point
 
@@ -50,6 +56,43 @@ def a_param_round(r: int, n: int) -> int:
     """Manhattan distance floor(r cos phi + 1/2) + floor(r sin phi + 1/2)."""
     phi = phi_n(r, n)
     return math.floor(r * math.cos(phi) + 0.5) + math.floor(r * math.sin(phi) + 0.5)
+
+
+def _sample_count(r: int) -> int:
+    """2r, the number of samples of radius r, checked before any sampling."""
+    if r < 1:
+        raise ValueError("radius must be >= 1")
+    if 2 * r > sys.maxsize:
+        raise OverflowError(f"{2 * r} samples exceed the largest index {sys.maxsize}")
+    return 2 * r
+
+
+# Each comprehension below evaluates phi_n's expression n * pi / (4r) once
+# per sample, with the int 4r hoisted, and binds it with := for cos and sin.
+
+
+def param_exact_samples(r: int) -> list[float]:
+    """[a_param_exact(r, n) for n in range(2r)], in one pass."""
+    count = _sample_count(r)
+    cos, sin, pi, r4 = math.cos, math.sin, math.pi, 4 * r
+    return [r * (cos(phi := n * pi / r4) + sin(phi)) for n in range(count)]
+
+
+def param_floor_samples(r: int) -> list[int]:
+    """[a_param_floor(r, n) for n in range(2r)], in one pass."""
+    count = _sample_count(r)
+    cos, sin, pi, r4, floor = math.cos, math.sin, math.pi, 4 * r, math.floor
+    return [floor(r * cos(phi := n * pi / r4)) + floor(r * sin(phi)) for n in range(count)]
+
+
+def param_round_samples(r: int) -> list[int]:
+    """[a_param_round(r, n) for n in range(2r)], in one pass."""
+    count = _sample_count(r)
+    cos, sin, pi, r4, floor = math.cos, math.sin, math.pi, 4 * r, math.floor
+    return [
+        floor(r * cos(phi := n * pi / r4) + 0.5) + floor(r * sin(phi) + 0.5)
+        for n in range(count)
+    ]
 
 
 def midpoint_quadrant(r: int) -> list[Point]:

@@ -73,42 +73,46 @@ def cost_simplified(a: int, c: int, r: int) -> int:
     """Step decision in diagonal coordinates: a = x + y, c = x - y - 1.
 
     Returns -sgn(a + (r/sqrt(2)) (sqrt((a-1)^2 + c^2) - sqrt((a+1)^2 + c^2))),
-    decided exactly.  With p = (a-1)^2 + c^2 and q = (a+1)^2 + c^2 the inner
-    expression has the sign of sqrt(2) a - r (sqrt(q) - sqrt(p)); both sides
-    are nonnegative, so two squarings settle it in integers.  On the path c
-    equals r - n - 1 at step n and may be negative; only c^2 enters.
+    decided exactly.  With p = (a-1)^2 + c^2 and q = (a+1)^2 + c^2 = p + 4a
+    the inner expression has the sign of sqrt(2) a - r (sqrt(q) - sqrt(p));
+    both sides are nonnegative, so two squarings settle it in integers.  On
+    the path c equals r - n - 1 at step n and may be negative; only c^2
+    enters.
     """
     if r < 1:
         raise ValueError("radius must be >= 1")
     if a < 1:
         raise ValueError("cost_simplified needs a = x + y >= 1")
     p = (a - 1) * (a - 1) + c * c
-    q = (a + 1) * (a + 1) + c * c
+    q = p + 4 * a
+    rr = r * r
     # sqrt(2) a vs r (sqrt(q) - sqrt(p)): square once to
     #   2 a^2 vs r^2 (p + q) - 2 r^2 sqrt(pq),
     # i.e. 2 r^2 sqrt(pq) vs w = r^2 (p + q) - 2 a^2, then square again.
-    w = r * r * (p + q) - 2 * a * a
+    w = rr * (p + q) - 2 * a * a
     if w < 0:
         return -1
-    # d == 0 is the exact tie: the inner expression is 0 and -sgn(0) = +1.
-    d = 4 * r ** 4 * p * q - w * w
-    return -1 if d > 0 else 1
+    # 4 r^4 pq == w^2 is the exact tie: the inner expression is 0 and
+    # -sgn(0) = +1.
+    return -1 if 4 * rr * rr * p * q > w * w else 1
 
 
 def cost_approx(a: int, c: int, r: int) -> int:
     """Integer-only step decision: -sgn(a^2 + c^2 + 1 - 2 r^2).
 
-    On a lattice state (a = x + y, c = x - y - 1) the quadratic equals 2d,
-    with d the midpoint decision variable of ``_walk_midpoint``, so this is
-    the midpoint rule, and it agrees with ``cost_exact`` at every radius
-    r >= 1 (see ``generate_quadrant``).  The r >= 5 guard is the domain the
-    paper documents for this variant, not a correctness bound.
+    With sgn(0) = -1 that is +1 exactly when a^2 + c^2 + 1 <= 2 r^2, which
+    is how it is computed.  On a lattice state (a = x + y, c = x - y - 1)
+    the quadratic equals 2d, with d the midpoint decision variable of
+    ``_walk_midpoint``, so this is the midpoint rule, and it agrees with
+    ``cost_exact`` at every radius r >= 1 (see ``generate_quadrant``).  The
+    r >= 5 guard is the domain the paper documents for this variant, not a
+    correctness bound.
     """
     if r < 5:
         raise ValueError("approx requires radius ≥ 5")
     if a < 1:
         raise ValueError("cost_approx needs a = x + y >= 1")
-    return -sgn(a * a + c * c + 1 - 2 * r * r)
+    return 1 if a * a + c * c + 1 <= 2 * r * r else -1
 
 
 class QuadrantTrace:

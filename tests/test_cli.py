@@ -402,3 +402,26 @@ def test_huge_radius_is_an_arithmetic_failure(command, capsys):
     assert capsys.readouterr() == (
         "", "arithmetic failure: cannot fit 'int' into an index-sized integer\n"
     )
+
+
+def test_memory_error_is_named_when_it_carries_no_message(monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr("latticircle.cli.estimate", exhausted)
+    assert run(["pi", "--radius", "5"]) == 3
+    assert capsys.readouterr() == ("", "arithmetic failure: MemoryError\n")
+
+
+HUGE_PARAM_FAILURE = (
+    f"arithmetic failure: {2 * 10**30} samples exceed the largest index {sys.maxsize}\n"
+)
+
+
+@pytest.mark.parametrize("source", ["param-exact", "param-floor", "param-round"])
+def test_huge_radius_fails_before_sampling(source, capsys):
+    # 2r samples past sys.maxsize cannot be indexed; refused before any sampling
+    assert run(["pi", "--radius", str(10**30), "--source", source]) == 3
+    assert capsys.readouterr() == ("", HUGE_PARAM_FAILURE)
+    assert run(["sweep", "--radii", f"5,{10**30}", "--source", source]) == 3
+    assert capsys.readouterr() == ("", HUGE_PARAM_FAILURE)

@@ -20,7 +20,12 @@ from latticircle.estimators import (
     sweep,
     sweep_target,
 )
-from latticircle.reference import DiscretizationSource
+from latticircle.reference import (
+    DiscretizationSource,
+    a_param_exact,
+    a_param_floor,
+    a_param_round,
+)
 from latticircle.signum import CostVariant
 
 SIGNUM = DiscretizationSource.SIGNUM
@@ -48,6 +53,23 @@ def test_sequence_shape_and_ratio_invariant(source, r):
     assert len(seq.pi_values) == 2 * r
     for a, p in zip(seq.l1_values, seq.pi_values):
         assert p * a == pytest.approx(4 * r, rel=1e-12)
+
+
+def per_sample_l1s(radius, source):
+    """The samples as ``pi_sequence`` built them one call per angle, before
+    it sampled each quarter in one pass."""
+    sampler = {PARAM_EXACT: a_param_exact, PARAM_FLOOR: a_param_floor, PARAM_ROUND: a_param_round}
+    return [sampler[source](radius, n) for n in range(2 * radius)]
+
+
+@pytest.mark.parametrize("source", [PARAM_EXACT, PARAM_FLOOR, PARAM_ROUND])
+def test_param_sequence_equals_the_per_sample_comprehension(source):
+    # param-floor snaps the r = 1 diagonal sample to the origin and is rejected;
+    # repr tells 2 from 2.0 and round-trips every float, so it compares bits too
+    for r in [*range(2, 301), *(2**k + d for k in range(9, 15) for d in (-1, 1))]:
+        got = pi_sequence(r, source).l1_values
+        want = per_sample_l1s(r, source)
+        assert list(map(repr, got)) == list(map(repr, want)), r
 
 
 @pytest.mark.parametrize("r", [1, 2, 5, 33])

@@ -7,7 +7,9 @@ the integer walker (and every view derived from its step array) to that
 reference byte for byte.  The others (``area`` without bounds, ``pi`` on
 the angle-sampled sources, ``sweep`` for every estimator and source) were
 recorded from the separate ``pi`` and ``sweep`` code paths before they
-were merged into ``estimators.estimate``.
+were merged into ``estimators.estimate``.  The two ``sweep ... signum
+<cost>`` families were recorded from ``cost_simplified`` and ``cost_approx``
+as they stood before their bodies were trimmed.
 """
 
 import contextlib
@@ -51,6 +53,13 @@ FAMILIES = {
         for estimator in ("arithmetic", "harmonic")
         for source in SOURCES
     },
+    # the reference predicates, each called at every step (approx needs r >= 5)
+    "sweep harmonic signum simplified": [[
+        "sweep", "--radii", "5:256:1", "--estimator", "harmonic", "--cost", "simplified",
+    ]],
+    "sweep arithmetic signum approx": [[
+        "sweep", "--radii", "5:256:1", "--estimator", "arithmetic", "--cost", "approx",
+    ]],
 }
 
 GOLDEN = {
@@ -72,6 +81,8 @@ GOLDEN = {
     "sweep harmonic param-exact": "9405f9442dece8164e2e92aec29ea925d0044c2ac720eaf2555042b0991bf3a7",
     "sweep harmonic param-floor": "6c74c9e1bc40a4f8e5ec8f342431907c033717a34db39e7cacc372b8776d5ec4",
     "sweep harmonic param-round": "8ceb307d4e6ba26fe0934a20396e16724f6b67459b6efcb8b12d1ae1d6f2d07f",
+    "sweep harmonic signum simplified": "d7cd46f6aa4d12ef44df3c28290cd4b6ce6b02b49f079c061f8f0f01d3c39967",
+    "sweep arithmetic signum approx": "1b9ef10e0f006c4f38d70b5db21cc2a4b4f02be6b2df1c28f7ff9ef8a0efc56f",
 }
 
 

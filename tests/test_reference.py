@@ -1,4 +1,7 @@
 import math
+import sys
+from array import array
+from itertools import repeat
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,8 +12,13 @@ from latticircle.reference import (
     a_param_floor,
     a_param_round,
     midpoint_quadrant,
+    param_exact_samples,
+    param_floor_samples,
+    param_round_samples,
     phi_n,
 )
+
+SAMPLER_RADII = sorted({*range(1, 601), *(2**k + d for k in range(1, 19) for d in (-1, 1))})
 
 
 def test_phi_samples():
@@ -63,6 +71,34 @@ def test_param_exact_mirror_symmetry(r, data):
     n = data.draw(st.integers(1, 2 * r - 1))
     m = 2 * r - n  # also in [1, 2r - 1]
     assert a_param_exact(r, n) == pytest.approx(a_param_exact(r, m), rel=1e-12)
+
+
+def test_exact_samples_equal_the_per_sample_definition_bit_for_bit():
+    # array("d") holds each float's IEEE bits, so equal bytes are equal float.hex
+    for r in SAMPLER_RADII:
+        want = array("d", map(a_param_exact, repeat(r), range(2 * r)))
+        assert array("d", param_exact_samples(r)).tobytes() == want.tobytes(), r
+
+
+@pytest.mark.parametrize(
+    "samples, per_sample",
+    [(param_floor_samples, a_param_floor), (param_round_samples, a_param_round)],
+)
+def test_snapped_samples_equal_the_per_sample_definition(samples, per_sample):
+    for r in SAMPLER_RADII:
+        got = samples(r)
+        assert got == list(map(per_sample, repeat(r), range(2 * r))), r
+        assert set(map(type, got)) == {int}, r
+
+
+@pytest.mark.parametrize("samples", [param_exact_samples, param_floor_samples, param_round_samples])
+def test_samplers_check_the_radius_before_sampling(samples):
+    with pytest.raises(ValueError):
+        samples(0)
+    # past sys.maxsize the 2r samples cannot be indexed: refused, not attempted
+    for r in (sys.maxsize // 2 + 1, 10**30):
+        with pytest.raises(OverflowError, match="exceed the largest index"):
+            samples(r)
 
 
 def test_midpoint_r1():

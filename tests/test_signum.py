@@ -182,6 +182,67 @@ def test_approx_variant_reproduces_exact(r):
     assert approx.points == exact.points
 
 
+def simplified_before_trim(a, c, r):
+    """``cost_simplified``'s body before it was trimmed: q and r^4 in full."""
+    p = (a - 1) * (a - 1) + c * c
+    q = (a + 1) * (a + 1) + c * c
+    w = r * r * (p + q) - 2 * a * a
+    if w < 0:
+        return -1
+    d = 4 * r ** 4 * p * q - w * w
+    return -1 if d > 0 else 1
+
+
+def approx_before_trim(a, c, r):
+    """``cost_approx``'s body before it was trimmed: through ``sgn``."""
+    return -sgn(a * a + c * c + 1 - 2 * r * r)
+
+
+@pytest.mark.parametrize(
+    "cost, before, lowest",
+    [(cost_simplified, simplified_before_trim, 1), (cost_approx, approx_before_trim, 5)],
+)
+def test_trimmed_predicates_decide_as_before_on_every_state(cost, before, lowest):
+    for r in range(lowest, 61):
+        for a in range(1, 3 * r + 1):
+            for c in range(-3 * r, 3 * r + 1):
+                assert cost(a, c, r) == before(a, c, r), (a, c, r)
+
+
+def walk_with(decide, r):
+    """Quadrant steps taken by calling decide(a, c, r) at all 2r steps."""
+    steps, x, y = [], r, 0
+    for n in range(2 * r):
+        s = 1 if decide(x + y, r - n - 1, r) > 0 else -1
+        steps.append(s)
+        if s > 0:
+            y += 1
+        else:
+            x -= 1
+    return steps
+
+
+@pytest.mark.parametrize(
+    "variant, before, lowest",
+    [
+        (CostVariant.SIMPLIFIED, simplified_before_trim, 1),
+        (CostVariant.APPROX, approx_before_trim, 5),
+    ],
+)
+def test_trimmed_predicates_walk_as_before(variant, before, lowest):
+    for r in [*range(lowest, 400), *(2**k + d for k in range(9, 16) for d in (-1, 1))]:
+        assert list(generate_quadrant(r, variant).steps) == walk_with(before, r), r
+
+
+def test_predicates_reject_bad_states():
+    with pytest.raises(ValueError, match="radius must be >= 1"):
+        cost_simplified(1, 0, 0)
+    with pytest.raises(ValueError, match="a = x \\+ y >= 1"):
+        cost_simplified(0, 0, 3)
+    with pytest.raises(ValueError, match="a = x \\+ y >= 1"):
+        cost_approx(0, 0, 5)
+
+
 def test_full_circle_r1():
     circle = assemble_full_circle(cached_trace(1))
     assert circle.points == (

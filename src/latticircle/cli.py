@@ -11,9 +11,9 @@ import argparse
 import functools
 import math
 import sys
-from itertools import chain, repeat
+from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from latticircle.area import area_report
 # unused pi_sequence and means stay imported: perfbench/traced.py wraps them by these names
@@ -84,23 +84,40 @@ def parse_radii_spec(spec: str) -> list[int]:
     return sorted(set(radii))
 
 
-def _rows_csv(trace, points: Iterable[Point]) -> str:
-    """CSV rows n,x,y,s,a,S; s, a and S repeat with period 2r, because a
-    quarter turn keeps the decisions and preserves a = |x| + |y|.  Each
-    column is repeated in place, without the copy ``itertools.cycle`` keeps."""
-    columns = (trace.steps, trace.l1_dists, trace.sign_sums)
-    rows = zip(points, *(chain.from_iterable(repeat(col)) for col in columns))
-    lines = ["n,x,y,s,a,S"]
-    lines.extend(f"{n},{x},{y},{s},{a},{S}" for n, ((x, y), s, a, S) in enumerate(rows))
-    return "\n".join(lines) + "\n"
+def _rows_csv(xs: list[str], ys: list[str], tails: list[str]) -> str:
+    """CSV text from string columns: the header, then one row n,x,y,s,a,S
+    per entry, where each tail already holds "s,a,S"."""
+    rows = map(",".join, zip(map(str, range(len(xs))), xs, ys, tails))
+    return "\n".join(chain(("n,x,y,s,a,S",), rows, ("",)))
+
+
+def _quadrant_strings(trace) -> tuple[list[str], list[str], list[str]]:
+    """The quadrant's x and y columns and its "s,a,S" tails, as strings.
+
+    Each int is formatted once: y_0 = 0 and y_{2r-n} = x_n (the diagonal
+    mirror, see ``QuadrantTrace``), so ys holds the strings of xs."""
+    xs = list(map(str, trace.xs))
+    ys = ["0", *xs[:0:-1]]
+    tails = [f"{s},{a},{S}" for s, a, S in zip(trace.steps, trace.l1_dists, trace.sign_sums)]
+    return xs, ys, tails
 
 
 def _trace_csv(trace) -> str:
-    return _rows_csv(trace, zip(trace.xs, trace.ys))
+    return _rows_csv(*_quadrant_strings(trace))
 
 
 def _full_circle_csv(trace) -> str:
-    return _rows_csv(trace, assemble_full_circle(trace).points)
+    """The rows of ``assemble_full_circle``, without its point tuples.
+
+    Quarter turn k maps (x, y) to (x, y), (-y, x), (-x, -y) and (y, -x),
+    so every cell is a quadrant string or its negation; x_n and y_n for
+    n >= 1 are at least 1, so negating is prefixing "-".  s, a and S repeat
+    with period 2r, because a quarter turn keeps the decisions and
+    preserves a = |x| + |y|."""
+    xs, ys, tails = _quadrant_strings(trace)
+    neg_xs = ["-" + x for x in xs]
+    neg_ys = ["0", *neg_xs[:0:-1]]
+    return _rows_csv(xs + neg_ys + neg_xs + ys, ys + xs + neg_ys + neg_xs, tails * 4)
 
 
 def _cmd_generate(args) -> int:

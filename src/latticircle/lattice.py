@@ -63,9 +63,13 @@ def check_path(points: Iterable[Point], mode: str = "open") -> PathValidityRepor
     values, so the key is injective on all of them and the neighbors of key
     k are k +- 1 and k +- m, for coordinates of any size.
 
-    The counts depend only on the point set, so permuting the input
-    permutes the violations and never changes the verdict.  Occurrences of
-    a point after its first are duplicates, flagged in either mode.
+    The count depends only on the point, so it is taken once per distinct
+    key, in the member set's own order, and only the counts other than 2
+    are kept: a path has almost none.  The verdicts follow from those
+    alone, and the input is scanned for the indices of failing keys only
+    when some key fails.  So permuting the input permutes the violations
+    and never changes the verdict.  Occurrences of a point after its first
+    are duplicates, flagged in either mode.
     """
     if mode not in ("open", "closed"):
         raise ValueError(f"mode must be 'open' or 'closed', not {mode!r}")
@@ -78,10 +82,11 @@ def check_path(points: Iterable[Point], mode: str = "open") -> PathValidityRepor
     keys = [index(p[0]) * m + y for p, y in zip(pts, ys)]
     del ys  # before the set is built, so it adds nothing to the peak
     members = set(keys)
-    counts = [
-        (k + 1 in members) + (k - 1 in members) + (k + m in members) + (k - m in members)
-        for k in keys
-    ]
+    irregular = {}  # key -> neighbor count, for the counts other than 2
+    for k in members:
+        c = (k + 1 in members) + (k - 1 in members) + (k + m in members) + (k - m in members)
+        if c != 2:
+            irregular[k] = c
     # The first occurrence of a key consumes it from the set; later ones
     # find it gone.  A set as long as the input holds no duplicates.
     dups = []
@@ -92,15 +97,13 @@ def check_path(points: Iterable[Point], mode: str = "open") -> PathValidityRepor
             else:
                 dups.append(i)
 
-    fits_open = max(counts) <= 2
-    fits_closed = fits_open and min(counts) == 2
-    is_valid = fits_open and not dups
-    is_closed_valid = fits_closed and not dups
+    crowded = {k for k, c in irregular.items() if c > 2}
+    is_valid = not crowded and not dups
+    is_closed_valid = not irregular and not dups
 
-    if mode == "open":
-        flagged = set() if fits_open else {i for i, c in enumerate(counts) if c > 2}
-    else:
-        flagged = set() if fits_closed else {i for i, c in enumerate(counts) if c != 2}
-    flagged.update(dups)
-    violations = tuple((i, counts[i]) for i in sorted(flagged))
+    failing = crowded if mode == "open" else irregular
+    flagged = [i for i, k in enumerate(keys) if k in failing] if failing else []
+    if dups:
+        flagged = sorted({*flagged, *dups})
+    violations = tuple((i, irregular.get(keys[i], 2)) for i in flagged)
     return PathValidityReport(is_valid, is_closed_valid, violations)

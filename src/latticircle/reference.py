@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 import sys
 
 from latticircle.lattice import Point
@@ -59,11 +60,24 @@ def a_param_round(r: int, n: int) -> int:
 
 
 def _sample_count(r: int) -> int:
-    """2r, the number of samples of radius r, checked before any sampling."""
+    """2r, the number of samples of radius r, checked before any sampling.
+
+    The list of 2r samples needs 16r bytes for its pointers alone; past
+    physical memory it is refused up front instead of growing until the
+    host runs out."""
     if r < 1:
         raise ValueError("radius must be >= 1")
     if 2 * r > sys.maxsize:
         raise OverflowError(f"{2 * r} samples exceed the largest index {sys.maxsize}")
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no such names here: no bound
+        memory = 0
+    if 0 < memory < 16 * r:
+        raise MemoryError(
+            f"{2 * r} samples need {16 * r} bytes of list pointers,"
+            f" more than the {memory} bytes of physical memory"
+        )
     return 2 * r
 
 

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from itertools import chain, repeat
 
 import pytest
 
@@ -11,6 +12,7 @@ import latticircle
 from latticircle import cli
 from latticircle.cli import format_real, parse_radii_spec, run
 from latticircle.reference import midpoint_quadrant
+from latticircle.signum import CostVariant, assemble_full_circle, generate_quadrant
 
 R2_QUADRANT_CSV = (
     "n,x,y,s,a,S\n"
@@ -41,6 +43,28 @@ def test_generate_full_csv_row_count(capsys):
     assert lines[0] == "n,x,y,s,a,S"
     assert len(lines) == 1 + 24
     assert lines[1] == "0,3,0,1,3,1"
+
+
+def point_rows_csv(trace, points):
+    """The writer that zipped assembled point tuples, kept as the reference."""
+    columns = (trace.steps, trace.l1_dists, trace.sign_sums)
+    rows = zip(points, *(chain.from_iterable(repeat(col)) for col in columns))
+    lines = ["n,x,y,s,a,S"]
+    lines.extend(f"{n},{x},{y},{s},{a},{S}" for n, ((x, y), s, a, S) in enumerate(rows))
+    return "\n".join(lines) + "\n"
+
+
+CSV_RADII = sorted({*range(1, 301), *(2**k + d for k in range(1, 14) for d in (-1, 1))})
+
+
+@pytest.mark.parametrize("variant", list(CostVariant))
+def test_csv_writers_match_the_point_tuple_writer(variant):
+    # approx is admissible from r = 5
+    for r in CSV_RADII if variant is not CostVariant.APPROX else CSV_RADII[4:]:
+        trace = generate_quadrant(r, variant)
+        assert cli._trace_csv(trace) == point_rows_csv(trace, trace.points)
+        full = assemble_full_circle(trace).points
+        assert cli._full_circle_csv(trace) == point_rows_csv(trace, full)
 
 
 def test_generate_is_deterministic(tmp_path):
@@ -186,6 +210,27 @@ def test_validate_error_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().out == "mode=open points=2 valid=true\n"
 
 
+def test_validate_names_duplicates_in_a_shuffled_circle(tmp_path, capsys):
+    # like the benchmark's corrupted copy: each copy lands after its original
+    r = 300
+    path = tmp_path / "circle.csv"
+    assert run(["generate", "--radius", str(r), "--extent", "full", "--out", str(path)]) == 0
+    header, *rows = path.read_text().splitlines()
+    rng = random.Random(300)
+    rng.shuffle(rows)
+    injected = []
+    for i in sorted(rng.sample(range(len(rows)), 5), reverse=True):
+        slot = rng.randrange(i + 1, len(rows) + 1)
+        injected = [j + (j >= slot) for j in injected] + [slot]
+        rows.insert(slot, rows[i])
+    path.write_text("\n".join([header, *rows]) + "\n")
+    capsys.readouterr()
+    assert run(["validate", str(path), "--mode", "closed"]) == 2
+    want = f"mode=closed points={8 * r + 5} valid=false\n"
+    want += "".join(f"index={i} neighbors=2\n" for i in sorted(injected))
+    assert capsys.readouterr().out == want
+
+
 @pytest.mark.slow
 def test_validate_round_trip_at_r_20000(tmp_path, capsys):
     r = 20_000
@@ -310,14 +355,18 @@ def test_validate_reads_bom_and_crlf(tmp_path, capsys):
     assert capsys.readouterr().out == "mode=open points=2 valid=true\n"
 
 
-def run_module(*argv, code=None):
+def run_module(*argv, code=None, preexec_fn=None):
     """``python -m latticircle ARGV`` (or ``python -c CODE``) in a fresh process."""
     env = dict(os.environ)
     src = str(pathlib.Path(latticircle.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     command = ["-c", code] if code else ["-m", "latticircle", *argv]
     return subprocess.run(
-        [sys.executable, *command], capture_output=True, env=env, timeout=60
+        [sys.executable, *command],
+        capture_output=True,
+        env=env,
+        timeout=60,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -425,3 +474,28 @@ def test_huge_radius_fails_before_sampling(source, capsys):
     assert capsys.readouterr() == ("", HUGE_PARAM_FAILURE)
     assert run(["sweep", "--radii", f"5,{10**30}", "--source", source]) == 3
     assert capsys.readouterr() == ("", HUGE_PARAM_FAILURE)
+
+
+def cap_address_space_at_1_gib():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.skipif(os.name != "posix", reason="caps the child with RLIMIT_AS")
+@pytest.mark.parametrize("source", ["param-exact", "param-floor", "param-round"])
+def test_radius_past_physical_memory_fails_before_sampling(source):
+    # the child is capped, so a radius that is sampled instead of refused
+    # fails there with a bare MemoryError and leaves the host alone
+    r = 10**15
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    want = (
+        f"arithmetic failure: {2 * r} samples need {16 * r} bytes of list pointers,"
+        f" more than the {memory} bytes of physical memory\n"
+    )
+    for argv in (
+        ["pi", "--radius", str(r), "--source", source],
+        ["sweep", "--radii", f"5,{r}", "--source", source],
+    ):
+        done = run_module(*argv, preexec_fn=cap_address_space_at_1_gib)
+        assert (done.returncode, done.stdout, done.stderr.decode()) == (3, b"", want)

@@ -9,7 +9,10 @@ the angle-sampled sources, ``sweep`` for every estimator and source) were
 recorded from the separate ``pi`` and ``sweep`` code paths before they
 were merged into ``estimators.estimate``.  The two ``sweep ... signum
 <cost>`` families were recorded from ``cost_simplified`` and ``cost_approx``
-as they stood before their bodies were trimmed.
+as they stood before their bodies were trimmed.  The last three full-circle
+CSV families were recorded from the writer that zipped the point tuples of
+``assemble_full_circle``, before it was replaced by shared per-quarter
+strings.
 """
 
 import contextlib
@@ -22,6 +25,8 @@ from latticircle.cli import _build_parser
 
 QUADRANT_RADII = range(1, 513)
 FULL_RADII = range(1, 65)
+# far past FULL_RADII; 255, 256 and 4097 sit at powers of two
+LARGE_FULL_RADII = (255, 256, 1000, 4097)
 # param-floor rightly fails at r = 1: its snapped sample (0, 0) has a = 0
 PARAM_RADII = range(2, 257)
 SOURCES = ("signum", "param-exact", "param-floor", "param-round")
@@ -60,6 +65,13 @@ FAMILIES = {
     "sweep arithmetic signum approx": [[
         "sweep", "--radii", "5:256:1", "--estimator", "arithmetic", "--cost", "approx",
     ]],
+    "generate full csv large": per_radius("generate", LARGE_FULL_RADII, "--extent", "full"),
+    **{
+        f"generate full csv {cost}": per_radius(
+            "generate", range(5, 65), "--extent", "full", "--cost", cost
+        )
+        for cost in ("simplified", "approx")
+    },
 }
 
 GOLDEN = {
@@ -83,6 +95,10 @@ GOLDEN = {
     "sweep harmonic param-round": "8ceb307d4e6ba26fe0934a20396e16724f6b67459b6efcb8b12d1ae1d6f2d07f",
     "sweep harmonic signum simplified": "d7cd46f6aa4d12ef44df3c28290cd4b6ce6b02b49f079c061f8f0f01d3c39967",
     "sweep arithmetic signum approx": "1b9ef10e0f006c4f38d70b5db21cc2a4b4f02be6b2df1c28f7ff9ef8a0efc56f",
+    "generate full csv large": "da4f75c0b43917ebc4794f6410755d85a229465c8545188b46025b58bb70f538",
+    # both variants decide every step as cost_exact does at these radii
+    "generate full csv simplified": "c888047dc550ee981321cc3593b4798095d24be4660f5c14349eeb6d7017bcaf",
+    "generate full csv approx": "c888047dc550ee981321cc3593b4798095d24be4660f5c14349eeb6d7017bcaf",
 }
 
 

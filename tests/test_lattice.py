@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import example, given, strategies as st
 
+from conftest import cached_trace
 from latticircle.lattice import check_path, l1_norm, l2_norm_sq, rotate90
+from latticircle.signum import assemble_full_circle
 
 points_st = st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
 
@@ -172,10 +174,38 @@ stride_collisions = st.builds(
 )
 
 
+UNIT_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+@st.composite
+def path_like(draw):
+    """A shuffled full circle, quadrant or arc of the circle, where almost
+    every count is 2, with a few points deleted and a few unit neighbors of
+    members added (count 3 where they join the path)."""
+    trace = cached_trace(draw(st.integers(1, 40)))
+    circle = assemble_full_circle(trace).points
+    start = draw(st.integers(0, len(circle) - 1))
+    pts = draw(st.sampled_from([
+        list(circle),
+        list(trace.points),
+        list(circle[start:] + circle[:start])[: draw(st.integers(1, len(circle)))],
+    ]))
+    for _ in range(draw(st.integers(0, 2))):
+        del pts[draw(st.integers(0, len(pts) - 1))]
+        if not pts:
+            return pts
+    for _ in range(draw(st.integers(0, 2))):
+        x, y = pts[draw(st.integers(0, len(pts) - 1))]
+        dx, dy = draw(st.sampled_from(UNIT_STEPS))
+        pts.append((x + dx, y + dy))
+    return draw(st.permutations(pts))
+
+
 @st.composite
 def point_lists(draw):
     dense = st.lists(st.tuples(coords(6), coords(6)), max_size=60)
     pts = draw(st.one_of(
+        path_like(),
         dense,
         # dense clusters far from the origin, so neighbors exist at large keys
         st.builds(

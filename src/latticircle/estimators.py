@@ -42,11 +42,14 @@ class Estimator(enum.Enum):
 
 
 class PiSequence(NamedTuple):
-    """Per-sample ratios 4r / a_n for one discretization of radius r."""
+    """Per-sample ratios 4r / a_n for one discretization of radius r.
+
+    ``l1_values`` is the trace's tuple for the signum source and the
+    sampler's own list, uncopied, for the angle-sampled sources."""
 
     radius: int
     source: DiscretizationSource
-    l1_values: tuple
+    l1_values: Sequence
 
     @property
     def pi_values(self) -> tuple[float, ...]:
@@ -80,7 +83,7 @@ def pi_sequence(
     low = min(l1s)
     if low <= 0:
         raise ValueError(f"nonpositive Manhattan distance {low} at radius {radius}")
-    return PiSequence(radius=radius, source=source, l1_values=tuple(l1s))
+    return PiSequence(radius=radius, source=source, l1_values=l1s)
 
 
 def arithmetic_mean_pi(seq: PiSequence) -> float:

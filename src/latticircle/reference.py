@@ -82,30 +82,39 @@ def _sample_count(r: int) -> int:
 
 
 # Each comprehension below evaluates phi_n's expression n * pi / (4r) once
-# per sample, with the int 4r hoisted, and binds it with := for cos and sin.
+# per sample and binds it with := for cos and sin.  The operands r, 4r and
+# n are converted to float up front: an int operand of a float operation is
+# converted by the same PyLong_AsDouble that float() calls, so every
+# operation sees the same bits as in ``a_param_*``, while float-by-float
+# arithmetic runs on the interpreter's specialised fast paths.
 
 
 def param_exact_samples(r: int) -> list[float]:
     """[a_param_exact(r, n) for n in range(2r)], in one pass."""
     count = _sample_count(r)
-    cos, sin, pi, r4 = math.cos, math.sin, math.pi, 4 * r
-    return [r * (cos(phi := n * pi / r4) + sin(phi)) for n in range(count)]
+    cos, sin, pi, rf, r4 = math.cos, math.sin, math.pi, float(r), float(4 * r)
+    return [rf * (cos(phi := n * pi / r4) + sin(phi)) for n in map(float, range(count))]
 
 
 def param_floor_samples(r: int) -> list[int]:
     """[a_param_floor(r, n) for n in range(2r)], in one pass."""
     count = _sample_count(r)
-    cos, sin, pi, r4, floor = math.cos, math.sin, math.pi, 4 * r, math.floor
-    return [floor(r * cos(phi := n * pi / r4)) + floor(r * sin(phi)) for n in range(count)]
+    cos, sin, pi, floor = math.cos, math.sin, math.pi, math.floor
+    rf, r4 = float(r), float(4 * r)
+    return [
+        floor(rf * cos(phi := n * pi / r4)) + floor(rf * sin(phi))
+        for n in map(float, range(count))
+    ]
 
 
 def param_round_samples(r: int) -> list[int]:
     """[a_param_round(r, n) for n in range(2r)], in one pass."""
     count = _sample_count(r)
-    cos, sin, pi, r4, floor = math.cos, math.sin, math.pi, 4 * r, math.floor
+    cos, sin, pi, floor = math.cos, math.sin, math.pi, math.floor
+    rf, r4 = float(r), float(4 * r)
     return [
-        floor(r * cos(phi := n * pi / r4) + 0.5) + floor(r * sin(phi) + 0.5)
-        for n in range(count)
+        floor(rf * cos(phi := n * pi / r4) + 0.5) + floor(rf * sin(phi) + 0.5)
+        for n in map(float, range(count))
     ]
 
 

@@ -73,28 +73,23 @@ def cost_simplified(a: int, c: int, r: int) -> int:
     """Step decision in diagonal coordinates: a = x + y, c = x - y - 1.
 
     Returns -sgn(a + (r/sqrt(2)) (sqrt((a-1)^2 + c^2) - sqrt((a+1)^2 + c^2))),
-    decided exactly.  With p = (a-1)^2 + c^2 and q = (a+1)^2 + c^2 = p + 4a
-    the inner expression has the sign of sqrt(2) a - r (sqrt(q) - sqrt(p));
-    both sides are nonnegative, so two squarings settle it in integers.  On
-    the path c equals r - n - 1 at step n and may be negative; only c^2
-    enters.
+    decided exactly by one integer comparison.  With p = (a-1)^2 + c^2 and
+    q = (a+1)^2 + c^2 the inner expression has the sign of
+    sqrt(2) a - r (sqrt(q) - sqrt(p)), and both sides are nonnegative.
+    Squaring once gives 2 r^2 sqrt(pq) versus w = r^2 (p + q) - 2 a^2, and
+    w > 0 for every r >= 1: with s = a^2 + c^2 + 1, p + q = 2s and
+    w = 2 a^2 (r^2 - 1) + 2 r^2 (c^2 + 1).  Squaring again, pq = s^2 - 4a^2
+    gives 4 r^4 pq - w^2 = 4 a^2 (2 r^2 (s - 2 r^2) - a^2), and a >= 1, so
+    the step goes left exactly when 2 r^2 (s - 2 r^2) > a^2.  Equality is
+    the exact tie: the inner expression is 0 and -sgn(0) = +1.  On the path
+    c equals r - n - 1 at step n and may be negative; only c^2 enters.
     """
     if r < 1:
         raise ValueError("radius must be >= 1")
     if a < 1:
         raise ValueError("cost_simplified needs a = x + y >= 1")
-    p = (a - 1) * (a - 1) + c * c
-    q = p + 4 * a
     rr = r * r
-    # sqrt(2) a vs r (sqrt(q) - sqrt(p)): square once to
-    #   2 a^2 vs r^2 (p + q) - 2 r^2 sqrt(pq),
-    # i.e. 2 r^2 sqrt(pq) vs w = r^2 (p + q) - 2 a^2, then square again.
-    w = rr * (p + q) - 2 * a * a
-    if w < 0:
-        return -1
-    # 4 r^4 pq == w^2 is the exact tie: the inner expression is 0 and
-    # -sgn(0) = +1.
-    return -1 if 4 * rr * rr * p * q > w * w else 1
+    return -1 if 2 * rr * (a * a + c * c + 1 - 2 * rr) > a * a else 1
 
 
 def cost_approx(a: int, c: int, r: int) -> int:
@@ -230,17 +225,21 @@ _NEGATE = bytes.maketrans(b"\x01\xff", b"\xff\x01")  # s -> -s on signed bytes
 
 def _walk_predicate(r: int, decide) -> array:
     """Quadrant steps chosen by a reference predicate decide(a, c, r) in
-    diagonal coordinates, called once per step."""
-    n_steps = 2 * r
-    steps = array("b", [-1]) * n_steps
-    x, y = r, 0
-    for n in range(n_steps):
-        if decide(x + y, r - n - 1, r) > 0:
+    diagonal coordinates, called once per step.
+
+    Step n is taken at a = x + y and c = r - n - 1; an up step raises a by
+    one and a left step lowers it by one."""
+    steps = array("b", [-1]) * (2 * r)
+    a, n = r, 0
+    for c in range(r - 1, -r - 1, -1):
+        if decide(a, c, r) > 0:
             steps[n] = 1
-            y += 1
+            a += 1
         else:
-            x -= 1
-    assert (x, y) == (0, r), "quarter turn must end one step past (1, r)"
+            a -= 1
+        n += 1
+    # after 2r unit steps a = 2u - r for u up steps, so a == r iff (x, y) = (0, r)
+    assert a == r, "quarter turn must end one step past (1, r)"
     # s_{2r-1-n} = -s_n, which lets every reduction read the first half only
     mirrored = steps[r - 1 :: -1].tobytes().translate(_NEGATE)
     assert steps[r:].tobytes() == mirrored, "quarter turn must mirror in the diagonal"

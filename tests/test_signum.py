@@ -11,6 +11,7 @@ from latticircle.area import area_recursive
 from latticircle.lattice import check_path, l2_norm_sq
 from latticircle.signum import (
     CostVariant,
+    _walk_predicate,
     assemble_full_circle,
     cost_approx,
     cost_exact,
@@ -234,6 +235,20 @@ def test_trimmed_predicates_walk_as_before(variant, before, lowest):
         assert list(generate_quadrant(r, variant).steps) == walk_with(before, r), r
 
 
+def test_predicate_walk_asserts_its_end_point():
+    with pytest.raises(AssertionError, match="quarter turn must end one step past"):
+        _walk_predicate(3, lambda a, c, r: 1)
+
+
+def test_predicate_walk_asserts_its_mirror():
+    # r = 2: up, left, left, up ends on (0, 2), but step 3 is not -step 0
+    def decide(a, c, r):
+        return 1 if c in (1, -2) else -1
+
+    with pytest.raises(AssertionError, match="quarter turn must mirror in the diagonal"):
+        _walk_predicate(2, decide)
+
+
 def test_predicates_reject_bad_states():
     with pytest.raises(ValueError, match="radius must be >= 1"):
         cost_simplified(1, 0, 0)
@@ -328,6 +343,23 @@ arbitrary_states = st.tuples(
 def test_midpoint_rule_is_cost_exact_on_every_state(state):
     x, y, r = state
     assert midpoint_is_up(x, y, r) == (cost_exact(x, y, r) == 1)
+
+
+diagonal_states = st.tuples(
+    st.integers(1, 10**30), st.integers(-(10**30), 10**30), st.integers(1, 10**30)
+)
+
+
+@settings(max_examples=500)
+@given(
+    st.one_of(
+        diagonal_states,
+        states_near_the_circle().map(lambda s: (s[0] + s[1], s[0] - s[1] - 1, s[2])),
+    )
+)
+def test_single_comparison_decides_as_before_at_large_values(state):
+    a, c, r = state
+    assert cost_simplified(a, c, r) == simplified_before_trim(a, c, r)
 
 
 def test_walker_matches_cost_exact_beyond_512():

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate
-from operator import index
 from typing import NamedTuple
 
+from latticircle.lattice import read_radius
 from latticircle.signum import CostVariant, QuadrantTrace, generate_quadrant
 
 
@@ -65,8 +65,7 @@ def inner_outer_areas(r: int) -> tuple[int, int]:
     the perfect squares r^2 - i^2 = j^2 pair column i with column j != i,
     one of each pair on either side of k, so P is twice the count for i <= k.
     """
-    if r < 1:
-        raise ValueError("radius must be >= 1")
+    r = read_radius(r)
     rsq = r * r
     k = math.isqrt(rsq // 2)
     heights = squares = 0
@@ -101,8 +100,8 @@ def area_report(
 ) -> AreaReport:
     """Generate the trace for ``radius`` and report area, bounds and ratio;
     without ``with_bounds`` the bounds are skipped and read None."""
-    radius = index(radius)
     trace = generate_quadrant(radius, variant)
+    radius = trace.radius
     area = area_recursive(trace)
     inner, outer = inner_outer_areas(radius) if with_bounds else (None, None)
     return AreaReport(

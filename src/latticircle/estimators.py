@@ -19,9 +19,10 @@ from __future__ import annotations
 import enum
 import math
 from itertools import repeat
-from operator import index, truediv
+from operator import truediv
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
+from latticircle.lattice import read_radius
 from latticircle.reference import (
     DiscretizationSource,
     param_exact_samples,
@@ -42,7 +43,8 @@ class Estimator(enum.Enum):
 
 
 class PiSequence(NamedTuple):
-    """Per-sample ratios 4r / a_n for one discretization of radius r.
+    """The 2r Manhattan distances a_n of one discretization of radius r,
+    whose per-sample ratios are 4r / a_n.
 
     ``l1_values`` is the trace's tuple for the signum source and the
     sampler's own list, uncopied, for the angle-sampled sources."""
@@ -50,11 +52,6 @@ class PiSequence(NamedTuple):
     radius: int
     source: DiscretizationSource
     l1_values: Sequence
-
-    @property
-    def pi_values(self) -> tuple[float, ...]:
-        """The ratios 4r / a_n, computed on each access; no estimator reads them."""
-        return tuple(4 * self.radius / a for a in self.l1_values)
 
 
 _PARAM_SAMPLERS = {
@@ -73,9 +70,7 @@ def pi_sequence(
 
     An angle-sampled source whose 2r samples cannot be indexed raises
     OverflowError before any sampling."""
-    radius = index(radius)
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
+    radius = read_radius(radius)
     if source is DiscretizationSource.SIGNUM:
         l1s: Sequence = generate_quadrant(radius, variant).l1_dists
     else:
@@ -171,12 +166,12 @@ def estimate(
     variant: CostVariant = CostVariant.EXACT,
 ) -> ConvergenceRecord:
     """The estimate at one radius against its target, as one sweep row."""
-    radius = index(radius)
     seq = pi_sequence(radius, source, variant)
     mean = arithmetic_mean_pi if estimator is Estimator.ARITHMETIC else harmonic_mean_pi
     value = mean(seq)
     target, note = sweep_target(estimator, source)
-    return ConvergenceRecord(radius, estimator, source, value, target, abs(value - target), note)
+    error = abs(value - target)
+    return ConvergenceRecord(seq.radius, estimator, source, value, target, error, note)
 
 
 def sweep(
@@ -185,12 +180,12 @@ def sweep(
     source: DiscretizationSource,
     variant: CostVariant = CostVariant.EXACT,
 ) -> list[ConvergenceRecord]:
-    """One convergence record per radius, in input order."""
+    """One convergence record per radius, in input order.  Every radius is
+    read and checked before the first one runs."""
     if not radii:
         raise ValueError("radii must be nonempty")
-    for r in radii:
-        if r < 1:
-            raise ValueError("radii must be >= 1")
-        if r < 5 and source is DiscretizationSource.SIGNUM and variant is CostVariant.APPROX:
-            raise ValueError("approx requires radius ≥ 5")
+    radii = [*map(read_radius, radii)]
+    approx = source is DiscretizationSource.SIGNUM and variant is CostVariant.APPROX
+    if approx and min(radii) < 5:
+        raise ValueError("approx requires radius ≥ 5")
     return [estimate(r, estimator, source, variant) for r in radii]

@@ -1,4 +1,4 @@
-"""Lattice points, norms, quadrant symmetry, and 4-connected path validity.
+"""Lattice points, the radius reader, and 4-connected path validity.
 
 Validity is a property of a point set: every member may touch at most two
 other members at l1 distance exactly 1 (open path), or must touch exactly
@@ -14,22 +14,14 @@ from typing import Iterable, NamedTuple
 Point = tuple[int, int]
 
 
-def l1_norm(p: Point) -> int:
-    """Manhattan norm |x| + |y|."""
-    return abs(p[0]) + abs(p[1])
-
-
-def l2_norm_sq(p: Point) -> int:
-    """Squared Euclidean norm x^2 + y^2, kept integer-exact."""
-    return p[0] * p[0] + p[1] * p[1]
-
-
-def rotate90(p: Point, k: int) -> Point:
-    """Rotate p counterclockwise about the origin by k quarter turns."""
-    x, y = p
-    for _ in range(k % 4):
-        x, y = -y, x
-    return x, y
+def read_radius(r) -> int:
+    """The radius r as an int, read with ``operator.index``: ``True`` is
+    radius 1 and a float such as 2.0 raises TypeError; below 1 raises
+    ValueError."""
+    r = index(r)
+    if r < 1:
+        raise ValueError("radius must be >= 1")
+    return r
 
 
 class PathValidityReport(NamedTuple):

@@ -20,7 +20,7 @@ import math
 import os
 import sys
 
-from latticircle.lattice import Point
+from latticircle.lattice import Point, read_radius
 
 
 class DiscretizationSource(enum.Enum):
@@ -34,8 +34,7 @@ class DiscretizationSource(enum.Enum):
 
 def phi_n(r: int, n: int) -> float:
     """Sample angle n pi / (4r) for index n in [0, 2r - 1]."""
-    if r < 1:
-        raise ValueError("radius must be >= 1")
+    r = read_radius(r)
     if not 0 <= n <= 2 * r - 1:
         raise ValueError(f"sample index {n} outside [0, {2 * r - 1}]")
     return n * math.pi / (4 * r)
@@ -65,8 +64,7 @@ def _sample_count(r: int) -> int:
     The list of 2r samples needs 16r bytes for its pointers alone; past
     physical memory it is refused up front instead of growing until the
     host runs out."""
-    if r < 1:
-        raise ValueError("radius must be >= 1")
+    r = read_radius(r)
     if 2 * r > sys.maxsize:
         raise OverflowError(f"{2 * r} samples exceed the largest index {sys.maxsize}")
     try:
@@ -128,8 +126,7 @@ def midpoint_quadrant(r: int) -> list[Point]:
     paints them twice.  Diagonal gaps and those duplicates are the point:
     this output is the known-invalid baseline, not a usable path.
     """
-    if r < 1:
-        raise ValueError("radius must be >= 1")
+    r = read_radius(r)
     x, y = 0, r
     d = 1 - r
     delta_e = 3

@@ -28,10 +28,10 @@ import enum
 from array import array
 from functools import cached_property
 from itertools import accumulate
-from operator import index, neg
+from operator import neg
 from typing import NamedTuple
 
-from latticircle.lattice import Point
+from latticircle.lattice import Point, read_radius
 
 
 class CostVariant(enum.Enum):
@@ -251,7 +251,7 @@ def generate_quadrant(r: int, variant: CostVariant = CostVariant.EXACT) -> Quadr
 
     The trace stops one step short of the vertical axis; a final leftward
     step from the last point would land on (0, r), which belongs to the
-    next quadrant.  ``r`` is read with ``operator.index``, so ``True`` walks
+    next quadrant.  ``r`` is read by ``read_radius``, so ``True`` walks
     radius 1 and a float such as 2.0 raises TypeError before any work.
 
     ``simplified`` and ``approx`` call their predicate at every step;
@@ -282,9 +282,7 @@ def generate_quadrant(r: int, variant: CostVariant = CostVariant.EXACT) -> Quadr
     At the origin the argument fails (u = v = 1) and indeed the rules
     differ there for r = 1, but the walk never visits it.
     """
-    r = index(r)
-    if r < 1:
-        raise ValueError("radius must be >= 1")
+    r = read_radius(r)
     if variant is CostVariant.EXACT:
         steps = _walk_midpoint(r)
     elif variant is CostVariant.SIMPLIFIED:
@@ -306,9 +304,8 @@ def assemble_full_circle(trace: QuadrantTrace) -> CirclePath:
 
     The quadrant's 2r points exclude (0, r), so the four rotated copies are
     disjoint and concatenate to exactly 8r distinct points forming a closed
-    4-connected loop.  Quarter turn k maps (x, y) to ``rotate90((x, y), k)``:
-    (x, y), (-y, x), (-x, -y) and (y, -x), built here from the coordinate
-    columns directly.
+    4-connected loop.  Quarter turns 0..3 map (x, y) to (x, y), (-y, x),
+    (-x, -y) and (y, -x), built here from the coordinate columns directly.
     """
     xs, ys = trace.xs, trace.ys
     neg_xs = tuple(map(neg, xs))

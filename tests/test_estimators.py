@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import cached_trace
+from latticircle import estimators
 from latticircle.area import area_recursive
 from latticircle.estimators import (
     ConvergenceRecord,
@@ -37,7 +38,7 @@ PARAM_ROUND = DiscretizationSource.PARAM_ROUND
 def test_sequence_r2():
     seq = pi_sequence(2, SIGNUM)
     assert seq.l1_values == (2, 3, 2, 3)
-    assert seq.pi_values == (4.0, 8 / 3, 4.0, 8 / 3)
+    assert [4 * 2 / a for a in seq.l1_values] == [4.0, 8 / 3, 4.0, 8 / 3]
 
 
 @pytest.mark.parametrize("source", [SIGNUM, PARAM_EXACT, PARAM_FLOOR, PARAM_ROUND])
@@ -50,9 +51,8 @@ def test_sequence_shape_and_ratio_invariant(source, r):
         return
     seq = pi_sequence(r, source)
     assert len(seq.l1_values) == 2 * r
-    assert len(seq.pi_values) == 2 * r
-    for a, p in zip(seq.l1_values, seq.pi_values):
-        assert p * a == pytest.approx(4 * r, rel=1e-12)
+    for a in seq.l1_values:
+        assert (4 * r / a) * a == pytest.approx(4 * r, rel=1e-12)
 
 
 def per_sample_l1s(radius, source):
@@ -76,8 +76,8 @@ def test_param_sequence_equals_the_per_sample_comprehension(source):
 def test_signum_ratio_bounds(r):
     seq = pi_sequence(r, SIGNUM)
     lower = 2 * math.sqrt(2) * r / (r + 1)
-    for p in seq.pi_values:
-        assert lower - 1e-12 <= p <= 4.0
+    for a in seq.l1_values:
+        assert lower - 1e-12 <= 4 * r / a <= 4.0
 
 
 def test_arithmetic_examples():
@@ -194,6 +194,15 @@ def test_sweep_rejects_bad_input():
         sweep([3], Estimator.ARITHMETIC, SIGNUM, CostVariant.APPROX)
     # the same radii are fine for non-signum sources
     assert sweep([3], Estimator.ARITHMETIC, PARAM_FLOOR, CostVariant.APPROX)
+
+
+@pytest.mark.parametrize("bad, error", [(2.0, TypeError), (0, ValueError)])
+def test_sweep_reads_every_radius_before_any_runs(monkeypatch, bad, error):
+    calls = []
+    monkeypatch.setattr(estimators, "estimate", lambda *args: calls.append(args))
+    with pytest.raises(error):
+        sweep([5, bad], Estimator.ARITHMETIC, SIGNUM)
+    assert calls == []
 
 
 @pytest.mark.parametrize("estimator", list(Estimator))

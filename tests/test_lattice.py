@@ -2,34 +2,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import cached_trace
-from latticircle.lattice import check_path, l1_norm, l2_norm_sq, rotate90
+from latticircle.lattice import check_path
 from latticircle.signum import assemble_full_circle
-
-points_st = st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
-
-
-def test_norm_examples():
-    assert l1_norm((3, -4)) == 7
-    assert l1_norm((0, 0)) == 0
-    assert l2_norm_sq((3, -4)) == 25
-    assert l2_norm_sq((0, 0)) == 0
-
-
-def test_rotate90_quarter_turns():
-    assert rotate90((2, 1), 0) == (2, 1)
-    assert rotate90((2, 1), 1) == (-1, 2)
-    assert rotate90((2, 1), 2) == (-2, -1)
-    assert rotate90((2, 1), 3) == (1, -2)
-
-
-@given(points_st, st.integers(0, 12))
-def test_rotate90_properties(p, k):
-    q = rotate90(p, k)
-    assert q == rotate90(p, k % 4)
-    assert rotate90(q, (4 - k) % 4) == p
-    assert l1_norm(q) == l1_norm(p)
-    assert l2_norm_sq(q) == l2_norm_sq(p)
-
 
 def test_open_path_accepts_quarter_turn():
     report = check_path([(2, 0), (2, 1), (1, 1), (1, 2)], "open")
@@ -38,10 +12,13 @@ def test_open_path_accepts_quarter_turn():
 
 
 def test_closed_path_accepts_full_turn():
-    quad = [(2, 0), (2, 1), (1, 1), (1, 2)]
-    circle = []
-    for k in range(4):
-        circle.extend(rotate90(p, k) for p in quad)
+    # the radius-2 quarter path and its three quarter turns
+    circle = [
+        (2, 0), (2, 1), (1, 1), (1, 2),
+        (0, 2), (-1, 2), (-1, 1), (-2, 1),
+        (-2, 0), (-2, -1), (-1, -1), (-1, -2),
+        (0, -2), (1, -2), (1, -1), (2, -1),
+    ]
     report = check_path(circle, "closed")
     assert report.is_closed_valid
     assert report.is_valid

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import cached_trace, cell_centres_in_disc, decimal_step_sign
 from latticircle.area import area_recursive
-from latticircle.lattice import check_path, l2_norm_sq
+from latticircle.lattice import check_path
 from latticircle.signum import (
     CostVariant,
     _walk_predicate,
@@ -145,7 +145,7 @@ def assert_trace_invariants(trace):
         assert a >= r
         assert (a - 1) * (a - 1) < 2 * (r + 1) * (r + 1)
         # radial band |sqrt(x^2 + y^2) - r| <= sqrt(2), checked in integers
-        q = l2_norm_sq((x, y))
+        q = x * x + y * y
         hi = q - r * r - 2
         assert hi <= 0 or hi * hi <= 8 * r * r
         lo = r * r + 2 - q

@@ -11,7 +11,7 @@ import argparse
 import functools
 import math
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Sequence
 
@@ -25,7 +25,7 @@ from latticircle.estimators import (
     pi_sequence,
     sweep,
 )
-from latticircle.lattice import Point, check_path
+from latticircle.lattice import PointColumns, check_path
 from latticircle.reference import DiscretizationSource
 from latticircle.signum import CostVariant, assemble_full_circle, generate_quadrant
 from latticircle.svg import render_path_svg
@@ -132,35 +132,52 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _read_points_csv(path: str) -> list[Point]:
-    """The (x, y) points of a CSV, read one line at a time so that only the
-    points are held.  Blank lines are skipped, header cells may carry
-    whitespace, and a bad row is named by its line number in the file."""
+_BLOCK = 1 << 16  # characters of whole lines read and parsed at a time
+
+
+def _read_points_csv(path: str) -> PointColumns:
+    """The x and y columns of a CSV, read in blocks of whole lines of about
+    64 KiB each, so that only the columns and one block are held.  Blank
+    lines are skipped, header cells may carry whitespace, and a bad row is
+    named by its line number in the file.  A block is decoded before any of
+    its rows is parsed, so an undecodable byte less than one block after a
+    malformed row is reported as the codec error, as the decoder's own
+    read-ahead already does within its 8 KiB chunks."""
     # utf-8-sig drops a leading byte-order mark; text mode turns CRLF into LF
     with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = enumerate(fh, 1)
-        for _, header in lines:
-            if header != "\n":
-                break
-        else:
+        lineno = 1
+        while (header := fh.readline()) == "\n":
+            lineno += 1
+        if not header:
             raise ValueError(f"{path}: empty file")
         cells = [cell.strip() for cell in header.split(",")]
         try:
-            pick = itemgetter(cells.index("x"), cells.index("y"))
+            ix, iy = cells.index("x"), cells.index("y")
         except ValueError:
             raise ValueError(f"{path}: header must name x and y columns")
-        points: list[Point] = []
-        # a decoding error comes from the iteration, outside the row's try
-        for lineno, line in lines:
-            if line == "\n":
-                continue
+        cut = max(ix, iy) + 1  # cells past both columns stay unsplit in the last
+        pick_x, pick_y = itemgetter(ix), itemgetter(iy)
+        xs: list[int] = []
+        ys: list[int] = []
+        # a decoding error comes from readlines, outside the block's try
+        while lines := fh.readlines(_BLOCK):
             try:
-                x, y = pick(line.split(","))
-                points.append((int(x), int(y)))
+                rows = list(map(str.split, filter("\n".__ne__, lines), repeat(","), repeat(cut)))
+                xs += map(int, map(pick_x, rows))
+                ys += map(int, map(pick_y, rows))
             except (IndexError, ValueError):
-                row = line.rstrip("\n")
-                raise ValueError(f"{path}:{lineno}: malformed row {row!r}")
-    return points
+                # rescan the block one row at a time to name its first bad line
+                for n, line in enumerate(lines, lineno + 1):
+                    try:
+                        if line != "\n":
+                            row = line.split(",", cut)
+                            int(pick_x(row)), int(pick_y(row))
+                    except (IndexError, ValueError):
+                        row = line.rstrip("\n")
+                        raise ValueError(f"{path}:{n}: malformed row {row!r}")
+                raise
+            lineno += len(lines)
+    return PointColumns(xs, ys)
 
 
 def _cmd_validate(args) -> int:

@@ -1,4 +1,5 @@
-"""Lattice points, the radius reader, and 4-connected path validity.
+"""Lattice points, point columns, the radius reader, and 4-connected path
+validity.
 
 Validity is a property of a point set: every member may touch at most two
 other members at l1 distance exactly 1 (open path), or must touch exactly
@@ -8,10 +9,37 @@ permuting the input never changes the verdict.
 
 from __future__ import annotations
 
-from operator import index
+from itertools import repeat
+from operator import add, index, itemgetter, mul
 from typing import Iterable, NamedTuple
 
 Point = tuple[int, int]
+
+
+class PointColumns:
+    """Points held as two int columns: item i is the pair (xs[i], ys[i]).
+
+    A sized sequence of points that holds no tuple per point: ``len`` is the
+    row count, an index gives one pair, and iteration yields the pairs.
+    ``check_path`` reads the columns as they are, so they must hold ints.
+    """
+
+    __slots__ = ("xs", "ys")
+
+    def __init__(self, xs: list[int], ys: list[int]):
+        if len(xs) != len(ys):
+            raise ValueError(f"columns differ in length: {len(xs)} x, {len(ys)} y")
+        self.xs = xs
+        self.ys = ys
+
+    def __len__(self) -> int:
+        return len(self.xs)
+
+    def __getitem__(self, i: int) -> Point:
+        return self.xs[i], self.ys[i]
+
+    def __iter__(self):
+        return zip(self.xs, self.ys)
 
 
 def read_radius(r) -> int:
@@ -39,15 +67,16 @@ class PathValidityReport(NamedTuple):
     note: str = ""
 
 
-def check_path(points: Iterable[Point], mode: str = "open") -> PathValidityReport:
+def check_path(points: Iterable[Point] | PointColumns, mode: str = "open") -> PathValidityReport:
     """Check a point sequence against the unit-neighbor counting rule.
 
     For every input point, members of the point set at l1 distance exactly
     1 are counted.  Open mode tolerates counts up to 2, closed mode demands
     exactly 2.  Empty input is vacuously valid and flagged with
-    note="empty".  Coordinates are read with ``operator.index``, so a
-    non-integer one such as 0.9 raises TypeError instead of being
-    truncated onto another point.
+    note="empty".  The points are a ``PointColumns``, whose int columns are
+    read directly, or any iterable of (x, y) pairs, whose coordinates are
+    read with ``operator.index``, so a non-integer one such as 0.9 raises
+    TypeError instead of being truncated onto another point.
 
     Each point (x, y) is looked up as the int key x*m + y, with
     m = 2*max|y| + 3 over the input.  Every member and every unit neighbor
@@ -65,14 +94,18 @@ def check_path(points: Iterable[Point], mode: str = "open") -> PathValidityRepor
     """
     if mode not in ("open", "closed"):
         raise ValueError(f"mode must be 'open' or 'closed', not {mode!r}")
-    pts = points if isinstance(points, (list, tuple)) else list(points)
-    if not pts:
+    if isinstance(points, PointColumns):
+        xs, ys = points.xs, points.ys
+    else:
+        pts = points if isinstance(points, (list, tuple)) else list(points)
+        xs = map(index, map(itemgetter(0), pts))
+        ys = list(map(index, map(itemgetter(1), pts)))
+    if not ys:
         return PathValidityReport(True, True, (), note="empty")
 
-    ys = [index(p[1]) for p in pts]
     m = 2 * max(max(ys), -min(ys)) + 3
-    keys = [index(p[0]) * m + y for p, y in zip(pts, ys)]
-    del ys  # before the set is built, so it adds nothing to the peak
+    keys = list(map(add, map(mul, xs, repeat(m)), ys))
+    del xs, ys  # a list of ys is freed before the set is built, off the peak
     members = set(keys)
     irregular = {}  # key -> neighbor count, for the counts other than 2
     for k in members:

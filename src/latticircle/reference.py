@@ -19,6 +19,7 @@ import enum
 import math
 import os
 import sys
+from operator import index
 
 from latticircle.lattice import Point, read_radius
 
@@ -33,8 +34,11 @@ class DiscretizationSource(enum.Enum):
 
 
 def phi_n(r: int, n: int) -> float:
-    """Sample angle n pi / (4r) for index n in [0, 2r - 1]."""
+    """Sample angle n pi / (4r) for index n in [0, 2r - 1].  Like the radius,
+    n is read with ``operator.index``: ``True`` is sample 1 and a float such
+    as 1.5 raises TypeError instead of naming an angle between samples."""
     r = read_radius(r)
+    n = index(n)
     if not 0 <= n <= 2 * r - 1:
         raise ValueError(f"sample index {n} outside [0, {2 * r - 1}]")
     return n * math.pi / (4 * r)

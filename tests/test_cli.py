@@ -5,12 +5,15 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from itertools import chain, repeat
+from operator import itemgetter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import latticircle
 from latticircle import cli
 from latticircle.cli import format_real, parse_radii_spec, run
+from latticircle.lattice import Point
 from latticircle.reference import midpoint_quadrant
 from latticircle.signum import CostVariant, assemble_full_circle, generate_quadrant
 
@@ -353,6 +356,92 @@ def test_validate_reads_bom_and_crlf(tmp_path, capsys):
     path.write_bytes("\ufeffx,y\r\n0,0\r\n1,0\r\n".encode("utf-8"))
     assert run(["validate", str(path)]) == 0
     assert capsys.readouterr().out == "mode=open points=2 valid=true\n"
+
+
+# The per-line parser that the block parser replaced, kept verbatim as its oracle.
+def per_line_read_points_csv(path: str) -> list[Point]:
+    """The (x, y) points of a CSV, read one line at a time so that only the
+    points are held.  Blank lines are skipped, header cells may carry
+    whitespace, and a bad row is named by its line number in the file."""
+    # utf-8-sig drops a leading byte-order mark; text mode turns CRLF into LF
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        lines = enumerate(fh, 1)
+        for _, header in lines:
+            if header != "\n":
+                break
+        else:
+            raise ValueError(f"{path}: empty file")
+        cells = [cell.strip() for cell in header.split(",")]
+        try:
+            pick = itemgetter(cells.index("x"), cells.index("y"))
+        except ValueError:
+            raise ValueError(f"{path}: header must name x and y columns")
+        points: list[Point] = []
+        # a decoding error comes from the iteration, outside the row's try
+        for lineno, line in lines:
+            if line == "\n":
+                continue
+            try:
+                x, y = pick(line.split(","))
+                points.append((int(x), int(y)))
+            except (IndexError, ValueError):
+                row = line.rstrip("\n")
+                raise ValueError(f"{path}:{lineno}: malformed row {row!r}")
+    return points
+
+
+def padded(cell):
+    return st.sampled_from(["{}", " {}", "{} ", " {} "]).map(lambda f: f.format(cell))
+
+
+@st.composite
+def points_csv(draw):
+    """CSV text with the x and y columns among up to four, blank lines, LF
+    and CRLF, space-padded cells, coordinates past 2**63, extra cells, and
+    perhaps one malformed row or a missing trailing newline."""
+    width = draw(st.integers(2, 4))
+    ix, iy = draw(st.permutations(range(width)))[:2]
+    names = ["n"] * width
+    names[ix], names[iy] = "x", "y"
+    lines = [",".join(draw(padded(name)) for name in names)]
+    coord = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+            continue
+        cells = ["0"] * width
+        cells[ix], cells[iy] = draw(padded(draw(coord))), draw(padded(draw(coord)))
+        cells += ["pad"] * draw(st.integers(0, 2))
+        lines.append(",".join(cells))
+    if draw(st.booleans()):
+        bad = draw(st.sampled_from(["1,zz", "7", " ", "1.5,2", ",", '"1","0"', "1,,2,3", "x,y"]))
+        lines.insert(draw(st.integers(1, len(lines))), bad)
+    lines[:0] = [""] * draw(st.integers(0, 2))
+    n = len(lines)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=n, max_size=n))
+    text = "".join(map("".join, zip(lines, ends)))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+def outcome(read, path):
+    try:
+        return list(read(path))
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200)
+@given(points_csv(), st.integers(1, 48))
+def test_block_parse_matches_the_per_line_parse(tmp_path_factory, text, block):
+    path = tmp_path_factory.getbasetemp() / "points.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.MonkeyPatch.context() as mp:
+        # blocks of a few dozen characters, so blocks split mid-file
+        mp.setattr(cli, "_BLOCK", block)
+        got = outcome(cli._read_points_csv, str(path))
+    assert got == outcome(per_line_read_points_csv, str(path))
 
 
 def run_module(*argv, code=None, preexec_fn=None):

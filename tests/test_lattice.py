@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import cached_trace
-from latticircle.lattice import check_path
+from latticircle.lattice import PointColumns, check_path
 from latticircle.signum import assemble_full_circle
 
 def test_open_path_accepts_quarter_turn():
@@ -202,9 +202,22 @@ def point_lists(draw):
 @example([(0, 2**32), (1, 0)])
 @example([(0, -(2**32)), (-1, 0), (0, 2**32 + 1)])
 def test_check_path_matches_tuple_set_oracle(pts):
+    columns = PointColumns([x for x, _ in pts], [y for _, y in pts])
     for mode in ("open", "closed"):
         want = oracle_check_path(pts, mode)
-        for given_pts in (pts, tuple(pts), (p for p in pts)):
+        for given_pts in (pts, tuple(pts), (p for p in pts), columns):
             report = check_path(given_pts, mode)
             got = (report.is_valid, report.is_closed_valid, report.violations, report.note)
             assert got == want
+
+
+def test_point_columns_are_a_sized_sequence_of_pairs():
+    pts = PointColumns([3, -1, 2**70], [0, 5, -(2**70)])
+    assert len(pts) == 3
+    assert (pts[0], pts[-1]) == ((3, 0), (2**70, -(2**70)))
+    assert list(pts) == [(3, 0), (-1, 5), (2**70, -(2**70))]
+    with pytest.raises(IndexError):
+        pts[3]
+    assert len(PointColumns([], [])) == 0
+    with pytest.raises(ValueError):
+        PointColumns([0, 1], [0])

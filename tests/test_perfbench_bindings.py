@@ -31,3 +31,20 @@ def test_csv_writers_take_the_trace_first():
     for module, attr, _ in traced.BINDINGS:
         if attr in ("_trace_csv", "_full_circle_csv"):
             assert list(inspect.signature(getattr(module, attr)).parameters) == ["trace"]
+
+
+
+def test_parse_result_counts_rows_and_feeds_the_check(tmp_path):
+    # the tracer counts cli.parse rows and lattice.check points with len();
+    # a bare (xs, ys) pair would read as 2 rows whatever the file held
+    traced = load_traced()
+    cli = traced.cli
+    describe = {attr: d for module, attr, d in traced.BINDINGS if module is cli}
+    path = tmp_path / "square.csv"
+    path.write_text("n,x,y\n\n0,0,0\n1,1,0\n2,1,1\n\n3,0,1\n")
+    points = cli._read_points_csv(str(path))
+    assert describe["_read_points_csv"]((str(path),), points) == ("cli.parse", {"rows": 4})
+    report = cli.check_path(points, "closed")
+    assert (report.is_closed_valid, report.violations) == (True, ())
+    assert describe["check_path"]((points, "closed"), report) == (
+        "lattice.check", {"points": 4, "violations": 0})

@@ -36,6 +36,15 @@ def test_phi_rejects_out_of_range():
         phi_n(0, 0)
 
 
+@pytest.mark.parametrize("sample", [phi_n, a_param_exact, a_param_floor, a_param_round])
+def test_sample_index_is_read_as_an_index(sample):
+    # a float index used to name an angle between samples: phi_n(2, 1.5) was 0.589...
+    for n in (1.5, 0.5, 1.0):
+        with pytest.raises(TypeError):
+            sample(2, n)
+    assert sample(2, True) == sample(2, 1)
+
+
 def test_param_exact_values():
     assert a_param_exact(1, 0) == pytest.approx(1.0, abs=0)
     assert a_param_exact(2, 1) == pytest.approx(2.613125929752753, abs=1e-14)

@@ -11,7 +11,7 @@ import argparse
 import functools
 import math
 import sys
-from itertools import chain, repeat
+from itertools import chain, cycle, repeat
 from operator import itemgetter
 from typing import Sequence
 
@@ -28,6 +28,7 @@ from latticircle.estimators import (
 from latticircle.lattice import PointColumns, check_path
 from latticircle.reference import DiscretizationSource
 from latticircle.signum import CostVariant, assemble_full_circle, generate_quadrant
+from latticircle.signum import circle_columns, mirror
 from latticircle.svg import render_path_svg
 
 
@@ -57,7 +58,8 @@ def _emit(text: str, out_path: str | None) -> None:
 def parse_radii_spec(spec: str) -> list[int]:
     """Radii from 'a,b,c', 'min:max:step' or 'log:a:b:k', deduped ascending.
 
-    A malformed spec or a radius below 1 raises ValueError."""
+    A malformed spec, a radius below 1 or a log: spec whose radii pass the
+    float range raises ValueError."""
     try:
         if spec.startswith("log:"):
             _, lo_s, hi_s, k_s = spec.split(":")
@@ -77,51 +79,37 @@ def parse_radii_spec(spec: str) -> list[int]:
             radii = list(range(lo, hi + 1, step))
         else:
             radii = [int(part) for part in spec.split(",")]
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ValueError(f"bad radii spec {spec!r}") from None
     if not radii or any(r < 1 for r in radii):
         raise ValueError(f"bad radii spec {spec!r}")
     return sorted(set(radii))
 
 
-def _rows_csv(xs: list[str], ys: list[str], tails: list[str]) -> str:
-    """CSV text from string columns: the header, then one row n,x,y,s,a,S
-    per entry, where each tail already holds "s,a,S"."""
-    rows = map(",".join, zip(map(str, range(len(xs))), xs, ys, tails))
+def _rows_csv(trace, full: bool) -> str:
+    """CSV text: the header, then one row n,x,y,s,a,S per point of the
+    quadrant or, when ``full``, of the circle that ``circle_columns`` lays
+    out from the quadrant's strings, without point tuples.  Each int is
+    formatted once: the y columns mirror the x strings, and x_n >= 1, so
+    negating is prefixing "-".  s, a and S repeat with period 2r, because a
+    quarter turn keeps the decisions and preserves a = |x| + |y|."""
+    xs = list(map(str, trace.xs))
+    xs, ys = circle_columns(xs, ["-" + x for x in xs], "0") if full else (xs, mirror(xs, "0"))
+    tails = [f"{s},{a},{S}" for s, a, S in zip(trace.steps, trace.l1_dists, trace.sign_sums)]
+    rows = map(",".join, zip(map(str, range(len(xs))), xs, ys, cycle(tails)))
     return "\n".join(chain(("n,x,y,s,a,S",), rows, ("",)))
 
 
-def _quadrant_strings(trace) -> tuple[list[str], list[str], list[str]]:
-    """The quadrant's x and y columns and its "s,a,S" tails, as strings.
-
-    Each int is formatted once: y_0 = 0 and y_{2r-n} = x_n (the diagonal
-    mirror, see ``QuadrantTrace``), so ys holds the strings of xs."""
-    xs = list(map(str, trace.xs))
-    ys = ["0", *xs[:0:-1]]
-    tails = [f"{s},{a},{S}" for s, a, S in zip(trace.steps, trace.l1_dists, trace.sign_sums)]
-    return xs, ys, tails
-
-
 def _trace_csv(trace) -> str:
-    return _rows_csv(*_quadrant_strings(trace))
+    return _rows_csv(trace, full=False)
 
 
 def _full_circle_csv(trace) -> str:
-    """The rows of ``assemble_full_circle``, without its point tuples.
-
-    Quarter turn k maps (x, y) to (x, y), (-y, x), (-x, -y) and (y, -x),
-    so every cell is a quadrant string or its negation; x_n and y_n for
-    n >= 1 are at least 1, so negating is prefixing "-".  s, a and S repeat
-    with period 2r, because a quarter turn keeps the decisions and
-    preserves a = |x| + |y|."""
-    xs, ys, tails = _quadrant_strings(trace)
-    neg_xs = ["-" + x for x in xs]
-    neg_ys = ["0", *neg_xs[:0:-1]]
-    return _rows_csv(xs + neg_ys + neg_xs + ys, ys + xs + neg_ys + neg_xs, tails * 4)
+    return _rows_csv(trace, full=True)
 
 
 def _cmd_generate(args) -> int:
-    trace = generate_quadrant(args.radius, CostVariant(args.cost))
+    trace = generate_quadrant(args.radius, args.cost)
     full = args.extent == "full"
     if args.format == "csv":
         text = _full_circle_csv(trace) if full else _trace_csv(trace)
@@ -200,28 +188,19 @@ def _record_line(rec) -> str:
 
 
 def _cmd_pi(args) -> int:
-    source = DiscretizationSource(args.source)
-    record = estimate(args.radius, Estimator(args.estimator), source, CostVariant(args.cost))
-    print(_record_line(record))
+    print(_record_line(estimate(args.radius, args.estimator, args.source, args.cost)))
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    radii = parse_radii_spec(args.radii)
-    records = sweep(
-        radii,
-        Estimator(args.estimator),
-        DiscretizationSource(args.source),
-        CostVariant(args.cost),
-    )
-    lines = ["r,estimator,source,value,target,abs_error"]
-    lines.extend(_record_line(rec) for rec in records)
+    records = sweep(parse_radii_spec(args.radii), args.estimator, args.source, args.cost)
+    lines = ["r,estimator,source,value,target,abs_error", *map(_record_line, records)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def _cmd_area(args) -> int:
-    report = area_report(args.radius, CostVariant(args.cost), with_bounds=args.with_bounds)
+    report = area_report(args.radius, args.cost, with_bounds=args.with_bounds)
     bounds = f"{report.inner},{report.outer}" if args.with_bounds else ","
     print(f"{report.radius},{report.area},{bounds},{format_real(report.ratio)}")
     return 0

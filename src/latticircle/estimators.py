@@ -63,14 +63,16 @@ _PARAM_SAMPLERS = {
 
 def pi_sequence(
     radius: int,
-    source: DiscretizationSource,
-    variant: CostVariant = CostVariant.EXACT,
+    source: DiscretizationSource | str,
+    variant: CostVariant | str = CostVariant.EXACT,
 ) -> PiSequence:
     """Build the 2r-sample ratio sequence for one source.
 
-    An angle-sampled source whose 2r samples cannot be indexed raises
-    OverflowError before any sampling."""
+    Each selector is read by its enum: "signum" reads as its member, and an
+    unknown name raises ValueError before any work.  An angle-sampled source
+    whose 2r samples cannot be indexed raises OverflowError before sampling."""
     radius = read_radius(radius)
+    source, variant = DiscretizationSource(source), CostVariant(variant)
     if source is DiscretizationSource.SIGNUM:
         l1s: Sequence = generate_quadrant(radius, variant).l1_dists
     else:
@@ -147,9 +149,12 @@ class ConvergenceRecord(NamedTuple):
     target_note: str = ""
 
 
-def sweep_target(estimator: Estimator, source: DiscretizationSource) -> tuple[float, str]:
+def sweep_target(
+    estimator: Estimator | str, source: DiscretizationSource | str
+) -> tuple[float, str]:
     """Reference value for an (estimator, source) pair, plus a note when the
-    pair has no known limit and pi stands in."""
+    pair has no known limit and pi stands in.  Both are read by their enums."""
+    estimator, source = Estimator(estimator), DiscretizationSource(source)
     if source is DiscretizationSource.SIGNUM:
         if estimator is Estimator.ARITHMETIC:
             return math.pi, ""
@@ -161,29 +166,33 @@ def sweep_target(estimator: Estimator, source: DiscretizationSource) -> tuple[fl
 
 def estimate(
     radius: int,
-    estimator: Estimator,
-    source: DiscretizationSource,
-    variant: CostVariant = CostVariant.EXACT,
+    estimator: Estimator | str,
+    source: DiscretizationSource | str,
+    variant: CostVariant | str = CostVariant.EXACT,
 ) -> ConvergenceRecord:
-    """The estimate at one radius against its target, as one sweep row."""
+    """The estimate at one radius against its target, as one sweep row.
+    Selectors are read as in ``pi_sequence``; the record holds the members."""
+    estimator = Estimator(estimator)
     seq = pi_sequence(radius, source, variant)
     mean = arithmetic_mean_pi if estimator is Estimator.ARITHMETIC else harmonic_mean_pi
     value = mean(seq)
-    target, note = sweep_target(estimator, source)
+    target, note = sweep_target(estimator, seq.source)
     error = abs(value - target)
-    return ConvergenceRecord(seq.radius, estimator, source, value, target, error, note)
+    return ConvergenceRecord(seq.radius, estimator, seq.source, value, target, error, note)
 
 
 def sweep(
     radii: Sequence[int],
-    estimator: Estimator,
-    source: DiscretizationSource,
-    variant: CostVariant = CostVariant.EXACT,
+    estimator: Estimator | str,
+    source: DiscretizationSource | str,
+    variant: CostVariant | str = CostVariant.EXACT,
 ) -> list[ConvergenceRecord]:
-    """One convergence record per radius, in input order.  Every radius is
-    read and checked before the first one runs."""
+    """One convergence record per radius, in input order.  Every radius and
+    selector is read, as in ``estimate``, before the first radius runs."""
     if not radii:
         raise ValueError("radii must be nonempty")
+    estimator, source = Estimator(estimator), DiscretizationSource(source)
+    variant = CostVariant(variant)
     radii = [*map(read_radius, radii)]
     approx = source is DiscretizationSource.SIGNUM and variant is CostVariant.APPROX
     if approx and min(radii) < 5:

@@ -131,7 +131,7 @@ class QuadrantTrace:
       a_{2r-n} = a_n for 1 <= n <= 2r - 1, and S_n = a_{n+1} - r gives
       S_{2r-2-n} = S_n for 0 <= n <= 2r - 2, while S_{2r-1} = 0 because
       the r up steps and the r left steps cancel;
-    * ``ys`` mirrors ``xs``: y_0 = 0 and y_{2r-n} = x_n for 1 <= n <= 2r - 1.
+    * ``ys`` mirrors ``xs`` by ``mirror``.
 
     Reductions may likewise read ``steps[:r]`` alone.
     """
@@ -163,7 +163,7 @@ class QuadrantTrace:
 
     @cached_property
     def ys(self) -> tuple[int, ...]:
-        return (0, *self.xs[:0:-1])
+        return mirror(self.xs, 0)
 
     @cached_property
     def points(self) -> tuple[Point, ...]:
@@ -246,13 +246,14 @@ def _walk_predicate(r: int, decide) -> array:
     return steps
 
 
-def generate_quadrant(r: int, variant: CostVariant = CostVariant.EXACT) -> QuadrantTrace:
+def generate_quadrant(r: int, variant: CostVariant | str = CostVariant.EXACT) -> QuadrantTrace:
     """Walk the quarter circle from (r, 0): 2r points, one decision each.
 
     The trace stops one step short of the vertical axis; a final leftward
     step from the last point would land on (0, r), which belongs to the
-    next quadrant.  ``r`` is read by ``read_radius``, so ``True`` walks
-    radius 1 and a float such as 2.0 raises TypeError before any work.
+    next quadrant.  ``r`` is read by ``read_radius`` and ``variant`` by
+    ``CostVariant``, so ``True`` walks radius 1 and "exact" as the member
+    does, while a float such as 2.0 or an unknown name raises before any work.
 
     ``simplified`` and ``approx`` call their predicate at every step;
     ``exact`` runs ``_walk_midpoint``, which decides exactly as
@@ -282,7 +283,7 @@ def generate_quadrant(r: int, variant: CostVariant = CostVariant.EXACT) -> Quadr
     At the origin the argument fails (u = v = 1) and indeed the rules
     differ there for r = 1, but the walk never visits it.
     """
-    r = read_radius(r)
+    r, variant = read_radius(r), CostVariant(variant)
     if variant is CostVariant.EXACT:
         steps = _walk_midpoint(r)
     elif variant is CostVariant.SIMPLIFIED:
@@ -299,16 +300,25 @@ class CirclePath(NamedTuple):
     points: tuple[Point, ...]
 
 
-def assemble_full_circle(trace: QuadrantTrace) -> CirclePath:
-    """Counterclockwise full circle: the quadrant plus its three rotations.
+def mirror(xs, zero):
+    """A quadrant's y column, sharing the cells of its x column: y_0 is
+    ``zero`` and y_{2r-n} = x_n, the diagonal mirror (see ``QuadrantTrace``)."""
+    return (zero, *xs[:0:-1])
 
-    The quadrant's 2r points exclude (0, r), so the four rotated copies are
-    disjoint and concatenate to exactly 8r distinct points forming a closed
-    4-connected loop.  Quarter turns 0..3 map (x, y) to (x, y), (-y, x),
-    (-x, -y) and (y, -x), built here from the coordinate columns directly.
-    """
-    xs, ys = trace.xs, trace.ys
-    neg_xs = tuple(map(neg, xs))
-    neg_ys = (0, *neg_xs[:0:-1])  # the mirror y_{2r-n} = x_n, negated
-    pts = (*zip(xs, ys), *zip(neg_ys, xs), *zip(neg_xs, neg_ys), *zip(ys, neg_xs))
-    return CirclePath(radius=trace.radius, points=pts)
+
+def circle_columns(xs, neg_xs, zero):
+    """The full circle's x and y columns from the quadrant's x column, its
+    negation and the cell for 0, as ints or as their decimal strings alike:
+    quarter turns 0..3 map (x, y) to (x, y), (-y, x), (-x, -y) and (y, -x)."""
+    ys, neg_ys = mirror(xs, zero), mirror(neg_xs, zero)
+    return (*xs, *neg_ys, *neg_xs, *ys), (*ys, *xs, *neg_ys, *neg_xs)
+
+
+def assemble_full_circle(trace: QuadrantTrace) -> CirclePath:
+    """Counterclockwise full circle: the quadrant plus its three rotations,
+    zipped from ``circle_columns``.  The quadrant's 2r points exclude (0, r),
+    so the four rotated copies are disjoint and concatenate to exactly 8r
+    distinct points forming a closed 4-connected loop."""
+    xs = trace.xs
+    points = tuple(zip(*circle_columns(xs, tuple(map(neg, xs)), 0)))
+    return CirclePath(radius=trace.radius, points=points)

@@ -3,7 +3,7 @@
 import pytest
 
 from latticircle.area import area_report, inner_outer_areas
-from latticircle.estimators import Estimator, estimate, pi_sequence, sweep
+from latticircle.estimators import Estimator, estimate, pi_sequence, sweep, sweep_target
 from latticircle.lattice import check_path
 from latticircle.reference import (
     DiscretizationSource,
@@ -13,9 +13,12 @@ from latticircle.reference import (
     param_floor_samples,
     param_round_samples,
 )
-from latticircle.signum import QuadrantTrace, assemble_full_circle, generate_quadrant
+from latticircle.signum import CostVariant, QuadrantTrace, assemble_full_circle, generate_quadrant
 
 SIGNUM = DiscretizationSource.SIGNUM
+PARAM_EXACT = DiscretizationSource.PARAM_EXACT
+EXACT = CostVariant.EXACT
+ARITHMETIC = Estimator.ARITHMETIC
 
 
 @pytest.mark.parametrize(
@@ -73,3 +76,32 @@ def test_radius_is_read_as_an_index(name):
         call(2.0)
     with pytest.raises(ValueError, match="radius must be >= 1"):
         call(0)
+
+
+# name -> (call with one selector, the member passed in its place); r = 3 is
+# below approx's domain, so "exact" read as another variant would fail
+SELECTOR_READERS = {
+    "generate_quadrant": (lambda v: generate_quadrant(3, v), EXACT),
+    "area_report": (lambda v: area_report(3, v), EXACT),
+    "pi_sequence source": (lambda s: pi_sequence(3, s), PARAM_EXACT),
+    "pi_sequence variant": (lambda v: pi_sequence(3, SIGNUM, v), EXACT),
+    "estimate estimator": (lambda e: estimate(3, e, SIGNUM), ARITHMETIC),
+    "estimate source": (lambda s: estimate(3, ARITHMETIC, s), PARAM_EXACT),
+    "estimate variant": (lambda v: estimate(3, ARITHMETIC, SIGNUM, v), EXACT),
+    "sweep estimator": (lambda e: sweep([3], e, SIGNUM), ARITHMETIC),
+    "sweep source": (lambda s: sweep([3], ARITHMETIC, s), PARAM_EXACT),
+    "sweep variant": (lambda v: sweep([3], ARITHMETIC, SIGNUM, v), EXACT),
+    "sweep_target estimator": (lambda e: sweep_target(e, PARAM_EXACT), ARITHMETIC),
+    "sweep_target source": (lambda s: sweep_target(ARITHMETIC, s), PARAM_EXACT),
+}
+
+
+@pytest.mark.parametrize("name", SELECTOR_READERS)
+def test_selector_is_read_by_its_enum(name):
+    call, member = SELECTOR_READERS[name]
+    got, want = call(member.value), call(member)
+    if isinstance(got, QuadrantTrace):
+        got, want = (got.variant, got.steps), (want.variant, want.steps)
+    assert got == want
+    with pytest.raises(ValueError, match="'bogus' is not a valid"):
+        call("bogus")

@@ -312,6 +312,8 @@ def test_sweep_bad_radii_spec(capsys):
     assert run(["sweep", "--radii", "log:10"]) == 1
     assert run(["sweep", "--radii", "0,3"]) == 1
     assert run(["sweep", "--radii", "9:1:1"]) == 1
+    # exp of the last log: radius passes the float range
+    assert run(["sweep", "--radii", f"log:1:{10**309}:3"]) == 1
     assert run(["sweep", "--radii", "ten"]) == 1
     assert capsys.readouterr().err.splitlines()[-1] == "bad radii spec 'ten'"
 

@@ -23,9 +23,9 @@ from latticircle.estimators import (
 )
 from latticircle.reference import (
     DiscretizationSource,
-    a_param_exact,
-    a_param_floor,
-    a_param_round,
+    param_exact_samples,
+    param_floor_samples,
+    param_round_samples,
 )
 from latticircle.signum import CostVariant
 
@@ -55,20 +55,23 @@ def test_sequence_shape_and_ratio_invariant(source, r):
         assert (4 * r / a) * a == pytest.approx(4 * r, rel=1e-12)
 
 
-def per_sample_l1s(radius, source):
-    """The samples as ``pi_sequence`` built them one call per angle, before
-    it sampled each quarter in one pass."""
-    sampler = {PARAM_EXACT: a_param_exact, PARAM_FLOOR: a_param_floor, PARAM_ROUND: a_param_round}
-    return [sampler[source](radius, n) for n in range(2 * radius)]
+SAMPLERS = {
+    PARAM_EXACT: param_exact_samples,
+    PARAM_FLOOR: param_floor_samples,
+    PARAM_ROUND: param_round_samples,
+}
 
 
 @pytest.mark.parametrize("source", [PARAM_EXACT, PARAM_FLOOR, PARAM_ROUND])
 def test_param_sequence_equals_the_per_sample_comprehension(source):
-    # param-floor snaps the r = 1 diagonal sample to the origin and is rejected;
-    # repr tells 2 from 2.0 and round-trips every float, so it compares bits too
+    # each sampler equals the per-sample comprehension over a_param_* bit for
+    # bit (tests/test_reference.py, on a superset of these radii), so the
+    # sequence need only hand on the sampler's output unchanged.  param-floor
+    # snaps the r = 1 diagonal sample to the origin and is rejected; repr
+    # tells 2 from 2.0 and round-trips every float, so it compares bits too
     for r in [*range(2, 301), *(2**k + d for k in range(9, 15) for d in (-1, 1))]:
         got = pi_sequence(r, source).l1_values
-        want = per_sample_l1s(r, source)
+        want = SAMPLERS[source](r)
         assert list(map(repr, got)) == list(map(repr, want)), r
 
 
@@ -196,12 +199,23 @@ def test_sweep_rejects_bad_input():
     assert sweep([3], Estimator.ARITHMETIC, PARAM_FLOOR, CostVariant.APPROX)
 
 
-@pytest.mark.parametrize("bad, error", [(2.0, TypeError), (0, ValueError)])
-def test_sweep_reads_every_radius_before_any_runs(monkeypatch, bad, error):
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        pytest.param(([5, 2.0], Estimator.ARITHMETIC, SIGNUM), TypeError, id="2.0-TypeError"),
+        pytest.param(([5, 0], Estimator.ARITHMETIC, SIGNUM), ValueError, id="0-ValueError"),
+        pytest.param(([5, 6], "bogus", SIGNUM), ValueError, id="estimator-ValueError"),
+        pytest.param(([5, 6], Estimator.ARITHMETIC, "bogus"), ValueError, id="source-ValueError"),
+        pytest.param(
+            ([5, 6], Estimator.ARITHMETIC, SIGNUM, "bogus"), ValueError, id="variant-ValueError"
+        ),
+    ],
+)
+def test_sweep_reads_every_radius_before_any_runs(monkeypatch, args, error):
     calls = []
-    monkeypatch.setattr(estimators, "estimate", lambda *args: calls.append(args))
+    monkeypatch.setattr(estimators, "estimate", lambda *call: calls.append(call))
     with pytest.raises(error):
-        sweep([5, bad], Estimator.ARITHMETIC, SIGNUM)
+        sweep(*args)
     assert calls == []
 
 

@@ -406,8 +406,9 @@ def is_mirrored(steps):
 
 
 def test_exact_trace_mirrors_in_the_diagonal():
+    # cached_trace shares these walks with test_half_walk_matches_the_full_walk
     for r in range(1, 3001):
-        assert is_mirrored(generate_quadrant(r).steps), r
+        assert is_mirrored(cached_trace(r).steps), r
 
 
 @pytest.mark.parametrize(
@@ -420,8 +421,9 @@ def test_predicate_traces_mirror_in_the_diagonal(variant, radii):
 
 
 def test_half_walk_matches_the_full_walk():
-    radii = [*range(1, 3001), *(2**k + e for k in range(1, 22) for e in (-1, 1))]
-    for r in radii:
+    for r in range(1, 3001):
+        assert cached_trace(r).steps == full_walk_midpoint(r), r
+    for r in (2**k + e for k in range(1, 22) for e in (-1, 1)):
         assert generate_quadrant(r).steps == full_walk_midpoint(r), r
 
 

@@ -7,6 +7,7 @@ identical bytes.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Sequence
 
 from latticircle.lattice import Point
@@ -27,40 +28,35 @@ def render_path_svg(
     """
     if not points:
         raise ValueError("nothing to render")
-    xmin = min(x for x, _ in points) - 1
-    xmax = max(x for x, _ in points) + 1
-    ymin = min(y for _, y in points) - 1
-    ymax = max(y for _, y in points) + 1
+    x_of, y_of = itemgetter(0), itemgetter(1)
+    xmin, xmax = min(map(x_of, points)) - 1, max(map(x_of, points)) + 1
+    ymin, ymax = min(map(y_of, points)) - 1, max(map(y_of, points)) + 1
     width = (xmax - xmin) * UNIT
     height = (ymax - ymin) * UNIT
 
-    def tx(x: int) -> int:
-        return (x - xmin) * UNIT
-
-    def ty(y: int) -> int:
-        return (ymax - y) * UNIT
-
+    # lattice (x, y) sits at pixel ((x - xmin) * UNIT, (ymax - y) * UNIT)
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
         '<g stroke="#dddddd" stroke-width="1">',
     ]
-    for gx in range(xmin, xmax + 1):
-        px = tx(gx)
-        lines.append(f'<line x1="{px}" y1="0" x2="{px}" y2="{height}"/>')
-    for gy in range(ymin, ymax + 1):
-        py = ty(gy)
-        lines.append(f'<line x1="0" y1="{py}" x2="{width}" y2="{py}"/>')
+    # grid lines at x = xmin..xmax, then y = ymin..ymax
+    lines += [
+        f'<line x1="{px}" y1="0" x2="{px}" y2="{height}"/>' for px in range(0, width + 1, UNIT)
+    ]
+    lines += [
+        f'<line x1="0" y1="{py}" x2="{width}" y2="{py}"/>' for py in range(height, -1, -UNIT)
+    ]
     lines.append("</g>")
 
     if overlay_circle:
         lines.append(
-            f'<circle cx="{tx(0)}" cy="{ty(0)}" r="{radius * UNIT}" '
+            f'<circle cx="{-xmin * UNIT}" cy="{ymax * UNIT}" r="{radius * UNIT}" '
             'fill="none" stroke="#999999" stroke-width="1" stroke-dasharray="4 4"/>'
         )
 
-    coords = " ".join(f"{tx(x)},{ty(y)}" for x, y in points)
+    coords = " ".join([f"{(x - xmin) * UNIT},{(ymax - y) * UNIT}" for x, y in points])
     shape = "polygon" if closed else "polyline"
     lines.append(
         f'<{shape} points="{coords}" fill="none" stroke="#000000" stroke-width="2"/>'

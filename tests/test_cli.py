@@ -1,3 +1,4 @@
+import gc
 import os
 import pathlib
 import random
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import latticircle
 from latticircle import cli
 from latticircle.cli import format_real, parse_radii_spec, run
+from latticircle.estimators import estimate
 from latticircle.lattice import Point
 from latticircle.reference import midpoint_quadrant
 from latticircle.signum import CostVariant, assemble_full_circle, generate_quadrant
@@ -551,6 +553,44 @@ def test_memory_error_is_named_when_it_carries_no_message(monkeypatch, capsys):
     monkeypatch.setattr("latticircle.cli.estimate", exhausted)
     assert run(["pi", "--radius", "5"]) == 3
     assert capsys.readouterr() == ("", "arithmetic failure: MemoryError\n")
+
+
+# one argument list per way out of `run`, with its exit code
+RUN_OUTCOMES = {
+    "success": (["pi", "--radius", "5"], 0),
+    "input error": (["pi", "--radius", "0"], 1),
+    "arithmetic failure": (["area", "--radius", str(2**62)], 3),
+    "help": (["--help"], 0),
+    "usage error": (["pi"], 1),
+}
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def collector(request):
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("outcome", RUN_OUTCOMES)
+def test_run_leaves_the_collector_as_it_found_it(outcome, collector, capsys):
+    argv, code = RUN_OUTCOMES[outcome]
+    assert run(argv) == code
+    assert gc.isenabled() is collector
+
+
+def test_commands_run_with_the_collector_paused(monkeypatch, collector, capsys):
+    seen = []
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        return estimate(*args)
+
+    monkeypatch.setattr("latticircle.cli.estimate", spy)
+    assert run(["pi", "--radius", "5"]) == 0
+    assert seen == [False]
+    assert gc.isenabled() is collector
 
 
 HUGE_PARAM_FAILURE = (

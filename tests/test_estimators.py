@@ -1,4 +1,5 @@
 import math
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -67,12 +68,18 @@ def test_param_sequence_equals_the_per_sample_comprehension(source):
     # each sampler equals the per-sample comprehension over a_param_* bit for
     # bit (tests/test_reference.py, on a superset of these radii), so the
     # sequence need only hand on the sampler's output unchanged.  param-floor
-    # snaps the r = 1 diagonal sample to the origin and is rejected; repr
-    # tells 2 from 2.0 and round-trips every float, so it compares bits too
+    # snaps the r = 1 diagonal sample to the origin and is rejected.  Floats
+    # are compared by their IEEE bytes, which also tells -0.0 from 0.0, and
+    # the type check tells 2 from 2.0
     for r in [*range(2, 301), *(2**k + d for k in range(9, 15) for d in (-1, 1))]:
         got = pi_sequence(r, source).l1_values
         want = SAMPLERS[source](r)
-        assert list(map(repr, got)) == list(map(repr, want)), r
+        if source is PARAM_EXACT:
+            assert set(map(type, got)) == {float}, r
+            assert array("d", got).tobytes() == array("d", want).tobytes(), r
+        else:
+            assert set(map(type, got)) == {int}, r
+            assert got == want, r
 
 
 @pytest.mark.parametrize("r", [1, 2, 5, 33])

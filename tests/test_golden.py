@@ -12,7 +12,9 @@ were merged into ``estimators.estimate``.  The two ``sweep ... signum
 as they stood before their bodies were trimmed.  The last three full-circle
 CSV families were recorded from the writer that zipped the point tuples of
 ``assemble_full_circle``, before it was replaced by shared per-quarter
-strings.
+strings.  The quadrant SVG families, the large full-circle SVG family and
+the library SVG digest were recorded from the renderer that mapped each
+coordinate through a per-point function call, before it inlined them.
 """
 
 import contextlib
@@ -22,6 +24,8 @@ import io
 import pytest
 
 from latticircle.cli import _build_parser
+from latticircle.reference import midpoint_quadrant
+from latticircle.svg import render_path_svg
 
 QUADRANT_RADII = range(1, 513)
 FULL_RADII = range(1, 65)
@@ -72,6 +76,13 @@ FAMILIES = {
         )
         for cost in ("simplified", "approx")
     },
+    "generate svg": per_radius("generate", FULL_RADII, "--format", "svg"),
+    "generate svg overlay": per_radius(
+        "generate", FULL_RADII, "--format", "svg", "--overlay-circle"
+    ),
+    "generate full svg large": per_radius(
+        "generate", LARGE_FULL_RADII, "--extent", "full", "--format", "svg", "--overlay-circle"
+    ),
 }
 
 GOLDEN = {
@@ -99,6 +110,9 @@ GOLDEN = {
     # both variants decide every step as cost_exact does at these radii
     "generate full csv simplified": "c888047dc550ee981321cc3593b4798095d24be4660f5c14349eeb6d7017bcaf",
     "generate full csv approx": "c888047dc550ee981321cc3593b4798095d24be4660f5c14349eeb6d7017bcaf",
+    "generate svg": "f253a9cb9f72b80050dfe8ef48ce72d38e86d8123177d32e05c83e8c134b7ac7",
+    "generate svg overlay": "98f70f49641499e799b395ab91e46245912137026fe46614ec3495cbebb3d275",
+    "generate full svg large": "257e121adf302bd771196955e09f298d1766b35807696a25a701e8becd878762",
 }
 
 
@@ -118,3 +132,17 @@ def family_digest(family: str) -> str:
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_cli_output_matches_golden_digest(family):
     assert family_digest(family) == GOLDEN[family]
+
+
+# render_path_svg on the textbook midpoint quadrant, unsorted with its seam
+# points repeated (an input the CLI never passes), open and closed
+MIDPOINT_SVG_GOLDEN = "7fa9411ffb1ce47f353f1b155a16ccac0f1ebc8a238048362851b2db522366f0"
+
+
+def test_render_path_svg_keeps_its_bytes_on_the_midpoint_quadrant():
+    h = hashlib.sha256()
+    for r in FULL_RADII:
+        points = midpoint_quadrant(r)
+        h.update(render_path_svg(points, r).encode("utf-8"))
+        h.update(render_path_svg(points, r, closed=True, overlay_circle=True).encode("utf-8"))
+    assert h.hexdigest() == MIDPOINT_SVG_GOLDEN

@@ -13,6 +13,7 @@ from latticircle.signum import (
     CostVariant,
     _walk_predicate,
     assemble_full_circle,
+    circle_columns,
     cost_approx,
     cost_exact,
     cost_simplified,
@@ -275,6 +276,25 @@ def test_full_circle_is_closed_valid(r):
     report = check_path(circle.points, "closed")
     assert report.is_closed_valid
     assert report.violations == ()
+
+
+def test_circle_columns_lay_out_the_four_quarter_turns():
+    for r in range(1, 65):
+        trace = cached_trace(r)
+        xs, ys = circle_columns(trace.xs, tuple(map(neg, trace.xs)), 0)
+        turns = [
+            *trace.points,
+            *((-y, x) for x, y in trace.points),
+            *((-x, -y) for x, y in trace.points),
+            *((y, -x) for x, y in trace.points),
+        ]
+        assert len(xs) == len(ys) == 8 * r, r
+        assert list(zip(xs, ys)) == turns, r
+        # the CLI lays out decimal strings by the same rule
+        strings = circle_columns(
+            tuple(map(str, trace.xs)), tuple(map(str, map(neg, trace.xs))), "0"
+        )
+        assert strings == (tuple(map(str, xs)), tuple(map(str, ys))), r
 
 
 quadrant_point_st = st.tuples(

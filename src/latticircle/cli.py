@@ -121,7 +121,7 @@ def _cmd_generate(args) -> int:
     if args.format == "csv":
         text = _full_circle_csv(trace) if full else _trace_csv(trace)
     else:
-        points = assemble_full_circle(trace).points if full else trace.points
+        points = assemble_full_circle(trace).points if full else PointColumns(trace.xs, trace.ys)
         text = render_path_svg(points, args.radius, full, args.overlay_circle)
     _emit(text, args.out)
     return 0
@@ -134,44 +134,48 @@ def _read_points_csv(path: str) -> PointColumns:
     """The x and y columns of a CSV, read in blocks of whole lines of about
     64 KiB each, so that only the columns and one block are held.  Blank
     lines are skipped, header cells may carry whitespace, and a bad row is
-    named by its line number in the file.  A block is decoded before any of
-    its rows is parsed, so an undecodable byte less than one block after a
-    malformed row is reported as the codec error, as the decoder's own
-    read-ahead already does within its 8 KiB chunks."""
+    named by its line number in the file, an undecodable byte by the first
+    line not yet read.  A block is decoded before any of its rows is parsed,
+    so an undecodable byte less than one block after a malformed row is
+    reported as the codec error, as the decoder's 8 KiB read-ahead does."""
     # utf-8-sig drops a leading byte-order mark; text mode turns CRLF into LF
     with open(path, "r", encoding="utf-8-sig") as fh:
-        lineno = 1
-        while (header := fh.readline()) == "\n":
-            lineno += 1
-        if not header:
-            raise ValueError(f"{path}: empty file")
-        cells = [cell.strip() for cell in header.split(",")]
+        lineno = 1  # the first line not yet read
         try:
-            ix, iy = cells.index("x"), cells.index("y")
-        except ValueError:
-            raise ValueError(f"{path}: header must name x and y columns")
-        cut = max(ix, iy) + 1  # cells past both columns stay unsplit in the last
-        pick_x, pick_y = itemgetter(ix), itemgetter(iy)
-        xs: list[int] = []
-        ys: list[int] = []
-        # a decoding error comes from readlines, outside the block's try
-        while lines := fh.readlines(_BLOCK):
+            while (header := fh.readline()) == "\n":
+                lineno += 1
+            lineno += 1
+            if not header:
+                raise ValueError(f"{path}: empty file")
+            cells = [cell.strip() for cell in header.split(",")]
             try:
-                rows = list(map(str.split, filter("\n".__ne__, lines), repeat(","), repeat(cut)))
-                xs += map(int, map(pick_x, rows))
-                ys += map(int, map(pick_y, rows))
-            except (IndexError, ValueError):
-                # rescan the block one row at a time to name its first bad line
-                for n, line in enumerate(lines, lineno + 1):
-                    try:
-                        if line != "\n":
-                            row = line.split(",", cut)
-                            int(pick_x(row)), int(pick_y(row))
-                    except (IndexError, ValueError):
-                        row = line.rstrip("\n")
-                        raise ValueError(f"{path}:{n}: malformed row {row!r}")
-                raise
-            lineno += len(lines)
+                ix, iy = cells.index("x"), cells.index("y")
+            except ValueError:
+                raise ValueError(f"{path}: header must name x and y columns")
+            cut = max(ix, iy) + 1  # cells past both columns stay unsplit in the last
+            pick_x, pick_y = itemgetter(ix), itemgetter(iy)
+            xs: list[int] = []
+            ys: list[int] = []
+            while lines := fh.readlines(_BLOCK):
+                try:
+                    nonblank = filter("\n".__ne__, lines)
+                    rows = list(map(str.split, nonblank, repeat(","), repeat(cut)))
+                    xs += map(int, map(pick_x, rows))
+                    ys += map(int, map(pick_y, rows))
+                except (IndexError, ValueError):
+                    # rescan the block one row at a time to name its first bad line
+                    for n, line in enumerate(lines, lineno):
+                        try:
+                            if line != "\n":
+                                row = line.split(",", cut)
+                                int(pick_x(row)), int(pick_y(row))
+                        except (IndexError, ValueError):
+                            row = line.rstrip("\n")
+                            raise ValueError(f"{path}:{n}: malformed row {row!r}")
+                    raise
+                lineno += len(lines)
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: undecodable text at or after line {lineno}: {e}")
     return PointColumns(xs, ys)
 
 

@@ -11,22 +11,21 @@ from __future__ import annotations
 
 from itertools import repeat
 from operator import add, index, itemgetter, mul
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 Point = tuple[int, int]
 
 
 class PointColumns:
-    """Points held as two int columns: item i is the pair (xs[i], ys[i]).
-
-    A sized sequence of points that holds no tuple per point: ``len`` is the
-    row count, an index gives one pair, and iteration yields the pairs.
-    ``check_path`` reads the columns as they are, so they must hold ints.
-    """
+    """A path as two equal-length columns, point i being (xs[i], ys[i]),
+    with no tuple per point; ``len`` is the point count.  The columns are
+    any sequences: lists from the CSV parser, tuples from the circle's
+    layout.  ``check_path`` and ``render_path_svg`` read them as they are,
+    so they must hold ints."""
 
     __slots__ = ("xs", "ys")
 
-    def __init__(self, xs: list[int], ys: list[int]):
+    def __init__(self, xs: Sequence[int], ys: Sequence[int]):
         if len(xs) != len(ys):
             raise ValueError(f"columns differ in length: {len(xs)} x, {len(ys)} y")
         self.xs = xs
@@ -34,12 +33,6 @@ class PointColumns:
 
     def __len__(self) -> int:
         return len(self.xs)
-
-    def __getitem__(self, i: int) -> Point:
-        return self.xs[i], self.ys[i]
-
-    def __iter__(self):
-        return zip(self.xs, self.ys)
 
 
 def read_radius(r) -> int:

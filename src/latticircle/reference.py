@@ -98,26 +98,26 @@ def param_exact_samples(r: int) -> list[float]:
     return [rf * (cos(phi := n * pi / r4) + sin(phi)) for n in map(float, range(count))]
 
 
-def param_floor_samples(r: int) -> list[int]:
-    """[a_param_floor(r, n) for n in range(2r)], in one pass."""
+def _snapped_samples(r: int, half: float) -> list[int]:
+    """[floor(r cos phi + half) + floor(r sin phi + half) for each phi_n]."""
     count = _sample_count(r)
     cos, sin, pi, floor = math.cos, math.sin, math.pi, math.floor
     rf, r4 = float(r), float(4 * r)
     return [
-        floor(rf * cos(phi := n * pi / r4)) + floor(rf * sin(phi))
+        floor(rf * cos(phi := n * pi / r4) + half) + floor(rf * sin(phi) + half)
         for n in map(float, range(count))
     ]
+
+
+def param_floor_samples(r: int) -> list[int]:
+    """[a_param_floor(r, n) for n in range(2r)], in one pass."""
+    # each v = r cos phi or r sin phi is >= 0, so v + 0.0 == v and floor(v + 0.0) == floor(v)
+    return _snapped_samples(r, 0.0)
 
 
 def param_round_samples(r: int) -> list[int]:
     """[a_param_round(r, n) for n in range(2r)], in one pass."""
-    count = _sample_count(r)
-    cos, sin, pi, floor = math.cos, math.sin, math.pi, math.floor
-    rf, r4 = float(r), float(4 * r)
-    return [
-        floor(rf * cos(phi := n * pi / r4) + 0.5) + floor(rf * sin(phi) + 0.5)
-        for n in map(float, range(count))
-    ]
+    return _snapped_samples(r, 0.5)
 
 
 def midpoint_quadrant(r: int) -> list[Point]:

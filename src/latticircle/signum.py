@@ -31,7 +31,7 @@ from itertools import accumulate
 from operator import neg
 from typing import NamedTuple
 
-from latticircle.lattice import Point, read_radius
+from latticircle.lattice import Point, PointColumns, read_radius
 
 
 class CostVariant(enum.Enum):
@@ -294,10 +294,10 @@ def generate_quadrant(r: int, variant: CostVariant | str = CostVariant.EXACT) ->
 
 
 class CirclePath(NamedTuple):
-    """An ordered sequence of lattice points tracing a circle or an arc."""
+    """The lattice points of a circle, in order, as x and y columns."""
 
     radius: int
-    points: tuple[Point, ...]
+    points: PointColumns
 
 
 def mirror(xs, zero):
@@ -316,9 +316,8 @@ def circle_columns(xs, neg_xs, zero):
 
 def assemble_full_circle(trace: QuadrantTrace) -> CirclePath:
     """Counterclockwise full circle: the quadrant plus its three rotations,
-    zipped from ``circle_columns``.  The quadrant's 2r points exclude (0, r),
-    so the four rotated copies are disjoint and concatenate to exactly 8r
-    distinct points forming a closed 4-connected loop."""
+    the columns that ``circle_columns`` lays out.  The quadrant's 2r points
+    exclude (0, r), so the four rotated copies are disjoint and concatenate
+    to exactly 8r distinct points forming a closed 4-connected loop."""
     xs = trace.xs
-    points = tuple(zip(*circle_columns(xs, tuple(map(neg, xs)), 0)))
-    return CirclePath(radius=trace.radius, points=points)
+    return CirclePath(trace.radius, PointColumns(*circle_columns(xs, tuple(map(neg, xs)), 0)))

@@ -7,30 +7,33 @@ identical bytes.
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import Sequence
+from typing import Iterable
 
-from latticircle.lattice import Point
+from latticircle.lattice import Point, PointColumns
 
 UNIT = 8  # px per lattice unit
 
 
 def render_path_svg(
-    points: Sequence[Point],
+    points: PointColumns | Iterable[Point],
     radius: int,
     closed: bool = False,
     overlay_circle: bool = False,
 ) -> str:
     """Render a lattice path; ``closed`` draws a polygon, else a polyline.
 
+    The points are a ``PointColumns`` or (x, y) pairs, transposed once.
     ``overlay_circle`` adds the real circle of ``radius`` around the origin
     for visual comparison.
     """
-    if not points:
+    if isinstance(points, PointColumns):
+        xs, ys = points.xs, points.ys
+    else:
+        xs, ys = tuple(zip(*points)) or ((), ())
+    if not xs:
         raise ValueError("nothing to render")
-    x_of, y_of = itemgetter(0), itemgetter(1)
-    xmin, xmax = min(map(x_of, points)) - 1, max(map(x_of, points)) + 1
-    ymin, ymax = min(map(y_of, points)) - 1, max(map(y_of, points)) + 1
+    xmin, xmax = min(xs) - 1, max(xs) + 1
+    ymin, ymax = min(ys) - 1, max(ys) + 1
     width = (xmax - xmin) * UNIT
     height = (ymax - ymin) * UNIT
 
@@ -56,7 +59,7 @@ def render_path_svg(
             'fill="none" stroke="#999999" stroke-width="1" stroke-dasharray="4 4"/>'
         )
 
-    coords = " ".join([f"{(x - xmin) * UNIT},{(ymax - y) * UNIT}" for x, y in points])
+    coords = " ".join([f"{(x - xmin) * UNIT},{(ymax - y) * UNIT}" for x, y in zip(xs, ys)])
     shape = "polygon" if closed else "polyline"
     lines.append(
         f'<{shape} points="{coords}" fill="none" stroke="#000000" stroke-width="2"/>'

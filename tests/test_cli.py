@@ -2,6 +2,7 @@ import gc
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -15,9 +16,10 @@ import latticircle
 from latticircle import cli
 from latticircle.cli import format_real, parse_radii_spec, run
 from latticircle.estimators import estimate
-from latticircle.lattice import Point
+from latticircle.lattice import Point, PointColumns
 from latticircle.reference import midpoint_quadrant
 from latticircle.signum import CostVariant, assemble_full_circle, generate_quadrant
+from latticircle.svg import render_path_svg
 
 R2_QUADRANT_CSV = (
     "n,x,y,s,a,S\n"
@@ -69,7 +71,7 @@ def test_csv_writers_match_the_point_tuple_writer(variant):
         trace = generate_quadrant(r, variant)
         assert cli._trace_csv(trace) == point_rows_csv(trace, trace.points)
         full = assemble_full_circle(trace).points
-        assert cli._full_circle_csv(trace) == point_rows_csv(trace, full)
+        assert cli._full_circle_csv(trace) == point_rows_csv(trace, zip(full.xs, full.ys))
 
 
 def test_generate_is_deterministic(tmp_path):
@@ -107,6 +109,22 @@ def test_generate_svg_quadrant_is_open_polyline(capsys):
     assert len(polylines) == 1
     assert len(polylines[0].attrib["points"].split()) == 8
     assert not root.findall("svg:circle", ns)
+
+
+def test_render_path_svg_reads_columns_and_pairs_alike():
+    for r in range(1, 65):
+        trace = generate_quadrant(r)
+        full = assemble_full_circle(trace).points
+        midpoint = midpoint_quadrant(r)  # unsorted, with its seam repeated
+        for columns, pairs in (
+            (PointColumns(trace.xs, trace.ys), trace.points),
+            (full, list(zip(full.xs, full.ys))),
+            (PointColumns(*zip(*midpoint)), midpoint),
+        ):
+            for closed, overlay in ((False, False), (False, True), (True, False), (True, True)):
+                text = render_path_svg(columns, r, closed, overlay)
+                assert render_path_svg(pairs, r, closed, overlay) == text, r
+                assert render_path_svg(iter(pairs), r, closed, overlay) == text, r
 
 
 def test_generate_approx_below_admissible_radius(capsys):
@@ -431,9 +449,10 @@ def points_csv(draw):
 
 def outcome(read, path):
     try:
-        return list(read(path))
+        points = read(path)
     except ValueError as exc:
         return str(exc)
+    return list(zip(points.xs, points.ys)) if isinstance(points, PointColumns) else points
 
 
 @settings(max_examples=200)
@@ -535,6 +554,29 @@ def test_undecodable_byte_is_reported_by_the_codec(tmp_path, capsys):
     assert out == ""
     assert "codec can't decode" in err
     assert "malformed row" not in err
+
+
+@pytest.mark.parametrize("bad_line", [1, 2, 30_002])
+def test_undecodable_byte_is_named_by_path_and_line(tmp_path, capsys, bad_line):
+    # the last line starts 228 894 bytes in, past three 64 KiB blocks
+    lines = ["x,y", *(f"{i},0" for i in range(30_000)), "0,0"]
+    lines[bad_line - 1] = "0,\xe90"
+    path = tmp_path / "late.csv"
+    path.write_bytes("".join(line + "\n" for line in lines).encode("latin-1"))
+    assert run(["validate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    named = re.fullmatch(
+        rf"{re.escape(str(path))}: undecodable text at or after line (\d+):"
+        r" 'utf-8' codec can't decode byte 0xe9 in position \d+: .*\n",
+        err,
+    )
+    assert named, err
+    # the decoder reads ahead, so the named line starts at most one block
+    # and one 8 KiB decoder chunk before the bad byte
+    n = int(named[1])
+    assert n <= bad_line
+    assert sum(map(len, lines[n - 1 : bad_line - 1])) + bad_line - n < cli._BLOCK + 8192
 
 
 @pytest.mark.parametrize("command", ["generate", "pi", "area"])

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import cached_trace, cell_centres_in_disc, decimal_step_sign
 from latticircle.area import area_recursive
-from latticircle.lattice import check_path
+from latticircle.lattice import PointColumns, check_path
 from latticircle.signum import (
     CostVariant,
     _walk_predicate,
@@ -260,20 +260,20 @@ def test_predicates_reject_bad_states():
 
 
 def test_full_circle_r1():
-    circle = assemble_full_circle(cached_trace(1))
-    assert circle.points == (
+    points = assemble_full_circle(cached_trace(1)).points
+    assert list(zip(points.xs, points.ys)) == [
         (1, 0), (1, 1), (0, 1), (-1, 1),
         (-1, 0), (-1, -1), (0, -1), (1, -1),
-    )
+    ]
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 7, 30, 101])
 def test_full_circle_is_closed_valid(r):
-    circle = assemble_full_circle(cached_trace(r))
-    assert len(circle.points) == 8 * r
-    assert len(set(circle.points)) == 8 * r
-    assert circle.points[0] == (r, 0)
-    report = check_path(circle.points, "closed")
+    columns = assemble_full_circle(cached_trace(r)).points
+    points = list(zip(columns.xs, columns.ys))
+    assert len(columns) == len(set(points)) == 8 * r
+    assert points[0] == (r, 0)
+    report = check_path(columns, "closed")
     assert report.is_closed_valid
     assert report.violations == ()
 
@@ -290,6 +290,10 @@ def test_circle_columns_lay_out_the_four_quarter_turns():
         ]
         assert len(xs) == len(ys) == 8 * r, r
         assert list(zip(xs, ys)) == turns, r
+        # the assembled circle holds these columns as they are
+        points = assemble_full_circle(trace).points
+        assert isinstance(points, PointColumns), r
+        assert (points.xs, points.ys) == (xs, ys), r
         # the CLI lays out decimal strings by the same rule
         strings = circle_columns(
             tuple(map(str, trace.xs)), tuple(map(str, map(neg, trace.xs))), "0"
@@ -478,7 +482,7 @@ def assert_views_match_full_length(trace):
     assert trace.l1_dists == full_length_l1_dists(trace), label
     circle = assemble_full_circle(trace).points
     assert len(circle) == 8 * trace.radius, label
-    assert all(map(eq, circle, full_length_circle(trace.xs, ys))), label
+    assert all(map(eq, zip(circle.xs, circle.ys), full_length_circle(trace.xs, ys))), label
 
 
 @pytest.mark.parametrize("variant", list(CostVariant))

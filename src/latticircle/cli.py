@@ -153,22 +153,22 @@ def _read_points_csv(path: str) -> PointColumns:
             except ValueError:
                 raise ValueError(f"{path}: header must name x and y columns")
             cut = max(ix, iy) + 1  # cells past both columns stay unsplit in the last
-            pick_x, pick_y = itemgetter(ix), itemgetter(iy)
+
+            def parse(lines, xs, ys):  # appends the x and y cells of the nonblank lines
+                rows = list(map(str.split, filter("\n".__ne__, lines), repeat(","), repeat(cut)))
+                xs += map(int, map(itemgetter(ix), rows))
+                ys += map(int, map(itemgetter(iy), rows))
+
             xs: list[int] = []
             ys: list[int] = []
             while lines := fh.readlines(_BLOCK):
                 try:
-                    nonblank = filter("\n".__ne__, lines)
-                    rows = list(map(str.split, nonblank, repeat(","), repeat(cut)))
-                    xs += map(int, map(pick_x, rows))
-                    ys += map(int, map(pick_y, rows))
+                    parse(lines, xs, ys)
                 except (IndexError, ValueError):
-                    # rescan the block one row at a time to name its first bad line
+                    # rescan the block one line at a time to name its first bad line
                     for n, line in enumerate(lines, lineno):
                         try:
-                            if line != "\n":
-                                row = line.split(",", cut)
-                                int(pick_x(row)), int(pick_y(row))
+                            parse([line], [], [])
                         except (IndexError, ValueError):
                             row = line.rstrip("\n")
                             raise ValueError(f"{path}:{n}: malformed row {row!r}")

@@ -70,16 +70,21 @@ def pi_sequence(
 
     Each selector is read by its enum: "signum" reads as its member, and an
     unknown name raises ValueError before any work.  An angle-sampled source
-    whose 2r samples cannot be indexed raises OverflowError before sampling."""
+    whose 2r samples cannot be indexed raises OverflowError before sampling.
+
+    Only an angle-sampled source can give a sample a_n <= 0, which raises
+    ValueError.  The signum walk never visits the origin, so every a_n >= 1
+    (``generate_quadrant``'s proof) and its samples are not scanned; the
+    cost variants give the same trace."""
     radius = read_radius(radius)
     source, variant = DiscretizationSource(source), CostVariant(variant)
     if source is DiscretizationSource.SIGNUM:
         l1s: Sequence = generate_quadrant(radius, variant).l1_dists
     else:
         l1s = _PARAM_SAMPLERS[source](radius)
-    low = min(l1s)
-    if low <= 0:
-        raise ValueError(f"nonpositive Manhattan distance {low} at radius {radius}")
+        low = min(l1s)
+        if low <= 0:
+            raise ValueError(f"nonpositive Manhattan distance {low} at radius {radius}")
     return PiSequence(radius=radius, source=source, l1_values=l1s)
 
 

@@ -60,16 +60,26 @@ class PathValidityReport(NamedTuple):
     note: str = ""
 
 
+def read_points(points: Iterable[Point] | PointColumns) -> PointColumns:
+    """The points as a ``PointColumns``: one is returned as it is, and any
+    other iterable of (x, y) pairs is read into two lists, each coordinate
+    with ``operator.index``, so a non-integer one such as 0.9 raises
+    TypeError instead of being truncated onto another point."""
+    if isinstance(points, PointColumns):
+        return points
+    pts = points if isinstance(points, (list, tuple)) else list(points)
+    xs = list(map(index, map(itemgetter(0), pts)))
+    return PointColumns(xs, list(map(index, map(itemgetter(1), pts))))
+
+
 def check_path(points: Iterable[Point] | PointColumns, mode: str = "open") -> PathValidityReport:
     """Check a point sequence against the unit-neighbor counting rule.
 
     For every input point, members of the point set at l1 distance exactly
     1 are counted.  Open mode tolerates counts up to 2, closed mode demands
     exactly 2.  Empty input is vacuously valid and flagged with
-    note="empty".  The points are a ``PointColumns``, whose int columns are
-    read directly, or any iterable of (x, y) pairs, whose coordinates are
-    read with ``operator.index``, so a non-integer one such as 0.9 raises
-    TypeError instead of being truncated onto another point.
+    note="empty".  The points are read with ``read_points``: a
+    ``PointColumns`` as it is, (x, y) pairs with integer coordinates only.
 
     Each point (x, y) is looked up as the int key x*m + y, with
     m = 2*max|y| + 3 over the input.  Every member and every unit neighbor
@@ -79,49 +89,44 @@ def check_path(points: Iterable[Point] | PointColumns, mode: str = "open") -> Pa
 
     The count depends only on the point, so it is taken once per distinct
     key, in the member set's own order, and only the counts other than 2
-    are kept: a path has almost none.  The verdicts follow from those
-    alone, and the input is scanned for the indices of failing keys only
-    when some key fails.  So permuting the input permutes the violations
-    and never changes the verdict.  Occurrences of a point after its first
-    are duplicates, flagged in either mode.
+    are kept: a path has almost none.  The verdicts follow from those and
+    from whether the member set is shorter than the input, that is whether
+    some point repeats.  So permuting the input never changes the verdict.
+    Only when some key fails for the mode, or some point repeats, is the
+    input scanned once, in order, for the violations: every occurrence of
+    a failing key, and every occurrence after the first of any other key,
+    as a duplicate in either mode.  They come out in index order.
     """
     if mode not in ("open", "closed"):
         raise ValueError(f"mode must be 'open' or 'closed', not {mode!r}")
-    if isinstance(points, PointColumns):
-        xs, ys = points.xs, points.ys
-    else:
-        pts = points if isinstance(points, (list, tuple)) else list(points)
-        xs = map(index, map(itemgetter(0), pts))
-        ys = list(map(index, map(itemgetter(1), pts)))
-    if not ys:
+    points = read_points(points)
+    if not points:
         return PathValidityReport(True, True, (), note="empty")
 
-    m = 2 * max(max(ys), -min(ys)) + 3
-    keys = list(map(add, map(mul, xs, repeat(m)), ys))
-    del xs, ys  # a list of ys is freed before the set is built, off the peak
+    m = 2 * max(max(points.ys), -min(points.ys)) + 3
+    keys = list(map(add, map(mul, points.xs, repeat(m)), points.ys))
+    del points  # columns read from pairs are freed before the set is built, off the peak
     members = set(keys)
     irregular = {}  # key -> neighbor count, for the counts other than 2
     for k in members:
         c = (k + 1 in members) + (k - 1 in members) + (k + m in members) + (k - m in members)
         if c != 2:
             irregular[k] = c
-    # The first occurrence of a key consumes it from the set; later ones
-    # find it gone.  A set as long as the input holds no duplicates.
-    dups = []
-    if len(members) < len(keys):
+    repeats = len(members) < len(keys)
+    crowded = {k for k, c in irregular.items() if c > 2}
+    is_valid = not crowded and not repeats
+    is_closed_valid = not irregular and not repeats
+
+    failing = crowded if mode == "open" else irregular
+    violations = []
+    if failing or repeats:
+        # Failing keys leave the set first, so each of their occurrences is
+        # flagged; any other key's first occurrence consumes it from the
+        # set, and its later ones find it gone.
+        members.difference_update(failing)
         for i, k in enumerate(keys):
             if k in members:
                 members.remove(k)
             else:
-                dups.append(i)
-
-    crowded = {k for k, c in irregular.items() if c > 2}
-    is_valid = not crowded and not dups
-    is_closed_valid = not irregular and not dups
-
-    failing = crowded if mode == "open" else irregular
-    flagged = [i for i, k in enumerate(keys) if k in failing] if failing else []
-    if dups:
-        flagged = sorted({*flagged, *dups})
-    violations = tuple((i, irregular.get(keys[i], 2)) for i in flagged)
-    return PathValidityReport(is_valid, is_closed_valid, violations)
+                violations.append((i, irregular.get(k, 2)))
+    return PathValidityReport(is_valid, is_closed_valid, tuple(violations))

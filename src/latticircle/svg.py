@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from latticircle.lattice import Point, PointColumns
+from latticircle.lattice import Point, PointColumns, read_points
 
 UNIT = 8  # px per lattice unit
 
@@ -22,14 +22,14 @@ def render_path_svg(
 ) -> str:
     """Render a lattice path; ``closed`` draws a polygon, else a polyline.
 
-    The points are a ``PointColumns`` or (x, y) pairs, transposed once.
+    The points are read with ``read_points``: a ``PointColumns`` as it is,
+    (x, y) pairs with integer coordinates only, so a coordinate such as 0.5
+    raises TypeError.
     ``overlay_circle`` adds the real circle of ``radius`` around the origin
     for visual comparison.
     """
-    if isinstance(points, PointColumns):
-        xs, ys = points.xs, points.ys
-    else:
-        xs, ys = tuple(zip(*points)) or ((), ())
+    path = read_points(points)
+    xs, ys = path.xs, path.ys
     if not xs:
         raise ValueError("nothing to render")
     xmin, xmax = min(xs) - 1, max(xs) + 1

@@ -4,6 +4,7 @@ from hypothesis import example, given, strategies as st
 from conftest import cached_trace
 from latticircle.lattice import PointColumns, check_path
 from latticircle.signum import assemble_full_circle
+from latticircle.svg import render_path_svg
 
 def test_open_path_accepts_quarter_turn():
     report = check_path([(2, 0), (2, 1), (1, 1), (1, 2)], "open")
@@ -78,12 +79,17 @@ def test_mode_is_checked():
 
 
 @pytest.mark.parametrize(
-    "pts", [[(0.9, 0.0), (0.2, 0.0)], [(0.9, 0), (1, 0)], [(0, 0), (0, 1.5)]]
+    "pts",
+    [[(0.9, 0.0), (0.2, 0.0)], [(0.9, 0), (1, 0)], [(0, 0), (0, 1.5)], [(0, 0), (0.5, 0), (1, 0)]],
 )
 def test_non_integer_coordinates_are_rejected(pts):
     # int() would truncate the first case into a duplicate of (0, 0)
     with pytest.raises(TypeError):
         check_path(pts, "open")
+    # both read their pairs with read_points; a float inside the bounding
+    # box, as in the last case, would otherwise be written into the SVG
+    with pytest.raises(TypeError):
+        render_path_svg(pts, 1)
 
 
 @given(
@@ -202,6 +208,8 @@ def point_lists(draw):
 @given(point_lists())
 @example([(0, 2**32), (1, 0)])
 @example([(0, -(2**32)), (-1, 0), (0, 2**32 + 1)])
+@example([(0, 0), (1, 0), (-1, 0), (0, 1), (0, 0)])  # a crowded point that repeats
+@example([(0, 0), (1, 0), (2, 0), (0, 0)])  # a repeated end point
 def test_check_path_matches_tuple_set_oracle(pts):
     columns = PointColumns([x for x, _ in pts], [y for _, y in pts])
     for mode in ("open", "closed"):

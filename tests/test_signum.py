@@ -128,6 +128,8 @@ def assert_trace_invariants(trace):
     assert trace.signs[-1] == -1
     assert trace.sign_sums[-1] == 0
     assert trace.sign_sums[-2] == 1
+    # the walk never visits the origin, so pi_sequence need not scan for a_n <= 0
+    assert min(trace.l1_dists) >= 1
 
     running = 0
     for n in range(n_pts):

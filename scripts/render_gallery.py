@@ -1,14 +1,28 @@
 """Render an SVG gallery: full circles at several radii, plus a quadrant
-comparison of the constructed path against the midpoint rasterizer."""
+comparison of the constructed path against the midpoint rasterizer.
+
+The constructed paths are what ``latticircle generate --format svg
+--overlay-circle`` writes; the midpoint baseline, which no command draws,
+is rendered with the library."""
 
 import argparse
 import pathlib
+import sys
 
+from latticircle.cli import run
 from latticircle.reference import midpoint_quadrant
-from latticircle.signum import assemble_full_circle, generate_quadrant
 from latticircle.svg import render_path_svg
 
 FULL_RADII = (5, 10, 15, 20, 25, 30)
+
+
+def generate_svg(r: int, path: pathlib.Path, *extent: str) -> None:
+    code = run([
+        "generate", "--radius", str(r), *extent, "--format", "svg", "--overlay-circle",
+        "--out", str(path),
+    ])
+    if code:
+        sys.exit(code)
 
 
 def main() -> None:
@@ -21,15 +35,10 @@ def main() -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     for r in FULL_RADII:
-        circle = assemble_full_circle(generate_quadrant(r))
-        svg = render_path_svg(circle.points, r, closed=True, overlay_circle=True)
-        (out_dir / f"circle_r{r}.svg").write_text(svg, encoding="utf-8")
+        generate_svg(r, out_dir / f"circle_r{r}.svg", "--extent", "full")
 
     r = args.compare_radius
-    quadrant = generate_quadrant(r)
-    (out_dir / f"quadrant_signum_r{r}.svg").write_text(
-        render_path_svg(quadrant.points, r, overlay_circle=True), encoding="utf-8"
-    )
+    generate_svg(r, out_dir / f"quadrant_signum_r{r}.svg")
     # the midpoint octant mirror double-emits its seam points, so this one
     # fails the validity check that the constructed path passes
     (out_dir / f"quadrant_midpoint_r{r}.svg").write_text(

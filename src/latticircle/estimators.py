@@ -69,8 +69,7 @@ def pi_sequence(
     """Build the 2r-sample ratio sequence for one source.
 
     Each selector is read by its enum: "signum" reads as its member, and an
-    unknown name raises ValueError before any work.  An angle-sampled source
-    whose 2r samples cannot be indexed raises OverflowError before sampling.
+    unknown name raises ValueError before any work.
 
     Only an angle-sampled source can give a sample a_n <= 0, which raises
     ValueError.  The signum walk never visits the origin, so every a_n >= 1

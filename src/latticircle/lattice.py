@@ -4,11 +4,13 @@ validity.
 Validity is a property of a point set: every member may touch at most two
 other members at l1 distance exactly 1 (open path), or must touch exactly
 two (closed path).  Input order is only used to label violations, so
-permuting the input never changes the verdict.
+permuting the input never changes the verdict.  Pieces are not counted,
+so a union of disjoint paths is an open path.
 """
 
 from __future__ import annotations
 
+import sys
 from itertools import repeat
 from operator import add, index, itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
@@ -38,10 +40,14 @@ class PointColumns:
 def read_radius(r) -> int:
     """The radius r as an int, read with ``operator.index``: ``True`` is
     radius 1 and a float such as 2.0 raises TypeError; below 1 raises
-    ValueError."""
+    ValueError.  A quarter turn is 2r steps or samples, so an r whose 2r
+    cannot be indexed (2r > sys.maxsize) raises OverflowError before any
+    work, also in ``phi_n`` and the ``a_param_*`` functions."""
     r = index(r)
     if r < 1:
         raise ValueError("radius must be >= 1")
+    if 2 * r > sys.maxsize:
+        raise OverflowError(f"{2 * r} samples exceed the largest index {sys.maxsize}")
     return r
 
 

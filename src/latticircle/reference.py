@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 import math
 import os
-import sys
 from operator import index
 
 from latticircle.lattice import Point, read_radius
@@ -69,8 +68,6 @@ def _sample_count(r: int) -> int:
     physical memory it is refused up front instead of growing until the
     host runs out."""
     r = read_radius(r)
-    if 2 * r > sys.maxsize:
-        raise OverflowError(f"{2 * r} samples exceed the largest index {sys.maxsize}")
     try:
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no such names here: no bound

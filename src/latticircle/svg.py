@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from latticircle.lattice import Point, PointColumns, read_points
+from latticircle.lattice import Point, PointColumns, read_points, read_radius
 
 UNIT = 8  # px per lattice unit
 
@@ -25,9 +25,10 @@ def render_path_svg(
     The points are read with ``read_points``: a ``PointColumns`` as it is,
     (x, y) pairs with integer coordinates only, so a coordinate such as 0.5
     raises TypeError.
-    ``overlay_circle`` adds the real circle of ``radius`` around the origin
-    for visual comparison.
+    ``overlay_circle`` adds the real circle of ``radius``, read by
+    ``read_radius``, around the origin for visual comparison.
     """
+    radius = read_radius(radius)
     path = read_points(points)
     xs, ys = path.xs, path.ys
     if not xs:

@@ -1,10 +1,12 @@
 """The library's result records and how its entry points read a radius."""
 
+import sys
+
 import pytest
 
 from latticircle.area import area_report, inner_outer_areas
 from latticircle.estimators import Estimator, estimate, pi_sequence, sweep, sweep_target
-from latticircle.lattice import check_path
+from latticircle.lattice import PointColumns, check_path
 from latticircle.reference import (
     DiscretizationSource,
     a_param_floor,
@@ -14,6 +16,7 @@ from latticircle.reference import (
     param_round_samples,
 )
 from latticircle.signum import CostVariant, QuadrantTrace, assemble_full_circle, generate_quadrant
+from latticircle.svg import render_path_svg
 
 SIGNUM = DiscretizationSource.SIGNUM
 PARAM_EXACT = DiscretizationSource.PARAM_EXACT
@@ -53,6 +56,9 @@ RADIUS_READERS = {
     "param_exact_samples": param_exact_samples,
     "param_floor_samples": param_floor_samples,
     "param_round_samples": param_round_samples,
+    "render_path_svg": lambda r: render_path_svg(
+        PointColumns((1, 0), (0, 1)), r, overlay_circle=True
+    ),
 }
 
 
@@ -76,6 +82,10 @@ def test_radius_is_read_as_an_index(name):
         call(2.0)
     with pytest.raises(ValueError, match="radius must be >= 1"):
         call(0)
+    # 2r steps or samples past sys.maxsize cannot be indexed: refused before any work
+    want = f"^{2 * 2**62} samples exceed the largest index {sys.maxsize}$"
+    with pytest.raises(OverflowError, match=want):
+        call(2**62)
 
 
 # name -> (call with one selector, the member passed in its place); r = 3 is

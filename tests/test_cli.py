@@ -579,13 +579,30 @@ def test_undecodable_byte_is_named_by_path_and_line(tmp_path, capsys, bad_line):
     assert sum(map(len, lines[n - 1 : bad_line - 1])) + bad_line - n < cli._BLOCK + 8192
 
 
-@pytest.mark.parametrize("command", ["generate", "pi", "area"])
+# command id -> its argument list without the radius
+HUGE_RADIUS_COMMANDS = {
+    "generate": ["generate", "--radius"],
+    "pi": ["pi", "--radius"],
+    **{
+        f"pi {source}": ["pi", "--source", source, "--radius"]
+        for source in ("param-exact", "param-floor", "param-round")
+    },
+    "area": ["area", "--radius"],
+    "area --with-bounds": ["area", "--with-bounds", "--radius"],
+    "sweep": ["sweep", "--radii"],
+}
+
+
+@pytest.mark.parametrize("command", HUGE_RADIUS_COMMANDS)
 def test_huge_radius_is_an_arithmetic_failure(command, capsys):
-    # the step array's repeat count overflows before anything is allocated
-    assert run([command, "--radius", str(10**30)]) == 3
-    assert capsys.readouterr() == (
-        "", "arithmetic failure: cannot fit 'int' into an index-sized integer\n"
-    )
+    # read_radius refuses a radius whose 2r steps or samples cannot be
+    # indexed, before any work
+    for r in (2**62, 10**30):
+        radius = f"5,{r}" if command == "sweep" else str(r)
+        assert run([*HUGE_RADIUS_COMMANDS[command], radius]) == 3
+        assert capsys.readouterr() == (
+            "", f"arithmetic failure: {2 * r} samples exceed the largest index {sys.maxsize}\n"
+        )
 
 
 def test_memory_error_is_named_when_it_carries_no_message(monkeypatch, capsys):

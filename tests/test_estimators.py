@@ -211,6 +211,9 @@ def test_sweep_rejects_bad_input():
     [
         pytest.param(([5, 2.0], Estimator.ARITHMETIC, SIGNUM), TypeError, id="2.0-TypeError"),
         pytest.param(([5, 0], Estimator.ARITHMETIC, SIGNUM), ValueError, id="0-ValueError"),
+        pytest.param(
+            ([5, 2**62], Estimator.ARITHMETIC, SIGNUM), OverflowError, id="2**62-OverflowError"
+        ),
         pytest.param(([5, 6], "bogus", SIGNUM), ValueError, id="estimator-ValueError"),
         pytest.param(([5, 6], Estimator.ARITHMETIC, "bogus"), ValueError, id="source-ValueError"),
         pytest.param(

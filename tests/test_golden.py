@@ -23,7 +23,7 @@ import io
 
 import pytest
 
-from latticircle.cli import _build_parser
+from latticircle.cli import run
 from latticircle.reference import midpoint_quadrant
 from latticircle.svg import render_path_svg
 
@@ -117,14 +117,11 @@ GOLDEN = {
 
 
 def family_digest(family: str) -> str:
-    # one parser for the whole family: building it costs more than a small run
-    parser = _build_parser()
     h = hashlib.sha256()
     for argv in FAMILIES[family]:
-        args = parser.parse_args(argv)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            assert args.func(args) == 0
+            assert run(argv) == 0
         h.update(out.getvalue().encode("utf-8"))
     return h.hexdigest()
 

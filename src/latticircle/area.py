@@ -10,34 +10,26 @@ brackets that area, and 4 area / r^2 approaches pi as r grows.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
 from typing import NamedTuple
 
 from latticircle.lattice import read_radius
-from latticircle.signum import CostVariant, QuadrantTrace, generate_quadrant
+from latticircle.signum import CostVariant, QuadrantTrace, generate_quadrant, l1_sum
 
 
 def area_recursive(trace: QuadrantTrace) -> int:
     """Cells under the quarter path: sum of x over upward steps n <= 2r - 2.
 
-    The sum is read off the Manhattan distances a_n streamed from the step
-    array, through sum(a_n) = 2 area + r^2 (the harmonic identity
-    1/H = area/(4r^2) + 1/8).  Proof: the path makes r up steps, the j-th
-    at index k_j with x = r - k_j + j (because x_n - y_n = r - n), so
-    area = r^2 + r(r-1)/2 - sum(k_j); each raises y at the 2r - 1 - k_j
-    later points, so sum(y_n) = r(2r - 1) - sum(k_j) = area + (r^2 - r)/2;
-    and sum(a_n) = 2 sum(y_n) + sum(r - n) = 2 sum(y_n) + r.
-
-    Only a_0..a_r are streamed, from the first r steps: the trace mirrors in
-    the diagonal (see ``QuadrantTrace``), so a_{2r-n} = a_n and
-    sum_{n<2r} a_n = 2 sum_{n<=r} a_n - a_0 - a_r.  Point r lies on the
-    diagonal, so a_r = 2 y_r, twice the up steps among the first r.
+    The sum is read off the Manhattan distances a_n, which ``l1_sum`` sums
+    from the first r steps alone, through sum(a_n) = 2 area + r^2 (the
+    harmonic identity 1/H = area/(4r^2) + 1/8).  Proof: the path makes r
+    up steps, the j-th at index k_j with x = r - k_j + j (because
+    x_n - y_n = r - n), so area = r^2 + r(r-1)/2 - sum(k_j); each raises y
+    at the 2r - 1 - k_j later points, so
+    sum(y_n) = r(2r - 1) - sum(k_j) = area + (r^2 - r)/2; and
+    sum(a_n) = 2 sum(y_n) + sum(r - n) = 2 sum(y_n) + r.
     """
     r = trace.radius
-    half = memoryview(trace.steps)[:r]  # a view: no copy of the steps
-    a_r = 2 * half.tobytes().count(1)
-    l1_sum = 2 * sum(accumulate(half, initial=r)) - r - a_r
-    return (l1_sum - r * r) // 2
+    return (l1_sum(trace.steps, r) - r * r) // 2
 
 
 def inner_outer_areas(r: int) -> tuple[int, int]:

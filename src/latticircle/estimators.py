@@ -20,7 +20,7 @@ import enum
 import math
 from itertools import repeat
 from operator import truediv
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Collection, NamedTuple, Sequence
 
 from latticircle.lattice import read_radius
 from latticircle.reference import (
@@ -29,7 +29,7 @@ from latticircle.reference import (
     param_floor_samples,
     param_round_samples,
 )
-from latticircle.signum import CostVariant, generate_quadrant
+from latticircle.signum import CostVariant, L1Distances, generate_quadrant
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -46,12 +46,14 @@ class PiSequence(NamedTuple):
     """The 2r Manhattan distances a_n of one discretization of radius r,
     whose per-sample ratios are 4r / a_n.
 
-    ``l1_values`` is the trace's tuple for the signum source and the
-    sampler's own list, uncopied, for the angle-sampled sources."""
+    ``l1_values`` is sized and can be iterated any number of times.  For
+    the signum source it is an ``L1Distances`` view that streams the a_n
+    from the trace's 2r step bytes on each pass, so no 2r ints are stored;
+    for the angle-sampled sources it is the sampler's own list, uncopied."""
 
     radius: int
     source: DiscretizationSource
-    l1_values: Sequence
+    l1_values: Collection
 
 
 _PARAM_SAMPLERS = {
@@ -78,7 +80,7 @@ def pi_sequence(
     radius = read_radius(radius)
     source, variant = DiscretizationSource(source), CostVariant(variant)
     if source is DiscretizationSource.SIGNUM:
-        l1s: Sequence = generate_quadrant(radius, variant).l1_dists
+        l1s: Collection = L1Distances(radius, generate_quadrant(radius, variant).steps)
     else:
         l1s = _PARAM_SAMPLERS[source](radius)
         low = min(l1s)
@@ -93,8 +95,16 @@ def arithmetic_mean_pi(seq: PiSequence) -> float:
 
 
 def harmonic_mean_pi(seq: PiSequence) -> float:
-    """Harmonic mean of the ratios: 8 r^2 / sum(a_n)."""
-    return 8 * seq.radius * seq.radius / math.fsum(seq.l1_values)
+    """Harmonic mean of the ratios: 8 r^2 / sum(a_n), compensated summation.
+
+    The signum view sums its ints exactly from the first r steps
+    (``L1Distances.total``).  Every a_n <= 2r is below 2^53, since the 2r
+    step bytes fit in memory, so each a_n is exactly a float, and fsum and
+    float() of the exact int sum both round that sum correctly: the float
+    is the one fsum gives."""
+    values = seq.l1_values
+    total = float(values.total()) if isinstance(values, L1Distances) else math.fsum(values)
+    return 8 * seq.radius * seq.radius / total
 
 
 def _require_integer_samples(seq: PiSequence) -> None:

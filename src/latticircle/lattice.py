@@ -10,6 +10,7 @@ so a union of disjoint paths is an open path.
 
 from __future__ import annotations
 
+import os
 import sys
 from itertools import repeat
 from operator import add, index, itemgetter, mul
@@ -49,6 +50,22 @@ def read_radius(r) -> int:
     if 2 * r > sys.maxsize:
         raise OverflowError(f"{2 * r} samples exceed the largest index {sys.maxsize}")
     return r
+
+
+def require_memory(what: str, need: int, of: str) -> None:
+    """Raise MemoryError when ``need`` bytes exceed physical memory, before
+    anything is allocated, instead of growing until the host runs out.  The
+    message reads "{what} need {need} bytes {of}, more than the {memory}
+    bytes of physical memory".  Without a page count from ``os.sysconf``
+    there is no bound."""
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return
+    if 0 < memory < need:
+        raise MemoryError(
+            f"{what} need {need} bytes {of}, more than the {memory} bytes of physical memory"
+        )
 
 
 class PathValidityReport(NamedTuple):

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 from operator import index
 
-from latticircle.lattice import Point, read_radius
+from latticircle.lattice import Point, read_radius, require_memory
 
 
 class DiscretizationSource(enum.Enum):
@@ -62,21 +61,11 @@ def a_param_round(r: int, n: int) -> int:
 
 
 def _sample_count(r: int) -> int:
-    """2r, the number of samples of radius r, checked before any sampling.
-
-    The list of 2r samples needs 16r bytes for its pointers alone; past
-    physical memory it is refused up front instead of growing until the
-    host runs out."""
+    """2r, the number of samples of radius r, checked before any sampling:
+    the list of 2r samples needs 16r bytes for its pointers alone, which
+    ``require_memory`` holds against physical memory."""
     r = read_radius(r)
-    try:
-        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):  # no such names here: no bound
-        memory = 0
-    if 0 < memory < 16 * r:
-        raise MemoryError(
-            f"{2 * r} samples need {16 * r} bytes of list pointers,"
-            f" more than the {memory} bytes of physical memory"
-        )
+    require_memory(f"{2 * r} samples", 16 * r, "of list pointers")
     return 2 * r
 
 

@@ -28,10 +28,10 @@ import enum
 from array import array
 from functools import cached_property
 from itertools import accumulate
-from operator import neg
-from typing import NamedTuple
+from operator import eq, neg
+from typing import Iterator, NamedTuple
 
-from latticircle.lattice import Point, PointColumns, read_radius
+from latticircle.lattice import Point, PointColumns, read_radius, require_memory
 
 
 class CostVariant(enum.Enum):
@@ -170,6 +170,52 @@ class QuadrantTrace:
         return tuple(zip(self.xs, self.ys))
 
 
+_COUNT_BLOCK = 1 << 14
+
+
+def l1_sum(steps: array, r: int) -> int:
+    """sum(a_n) over the 2r points of the trace whose steps are ``steps``,
+    streamed from the first r steps alone: a_{2r-n} = a_n (see
+    ``QuadrantTrace``), so sum_{n<2r} a_n = 2 sum_{n<=r} a_n - a_0 - a_r,
+    and point r lies on the diagonal, so a_r = 2 y_r, twice the up steps
+    among the first r.  They are counted in blocks of ``_COUNT_BLOCK``
+    bytes, so no copy of the steps exceeds one block."""
+    half = memoryview(steps)[:r]  # a view: no copy of the steps
+    ups = sum(half[i : i + _COUNT_BLOCK].tobytes().count(1) for i in range(0, r, _COUNT_BLOCK))
+    return 2 * sum(accumulate(half, initial=r)) - r - 2 * ups
+
+
+class L1Distances:
+    """The Manhattan distances a_0, ..., a_{2r-1} of a trace, streamed from
+    its step bytes instead of stored: ``len`` is 2r, and each iteration
+    runs accumulate(steps[:2r-1], initial=r) afresh at C speed, so the 2r
+    ints are never alive at once.  It yields the ints of
+    ``QuadrantTrace.l1_dists`` and compares equal to that tuple; ``total``
+    is their sum by ``l1_sum``."""
+
+    __slots__ = ("radius", "steps")
+
+    def __init__(self, radius: int, steps: array) -> None:
+        self.radius = radius
+        self.steps = steps
+
+    def __len__(self) -> int:
+        return 2 * self.radius
+
+    def __iter__(self) -> Iterator[int]:
+        return accumulate(memoryview(self.steps)[: 2 * self.radius - 1], initial=self.radius)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, L1Distances)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None  # equal to a tuple, so unhashable
+
+    def total(self) -> int:
+        return l1_sum(self.steps, self.radius)
+
+
 def _walk_midpoint(r: int) -> array:
     """Exact quadrant steps by the second-order midpoint scheme, additions only.
 
@@ -254,6 +300,8 @@ def generate_quadrant(r: int, variant: CostVariant | str = CostVariant.EXACT) ->
     next quadrant.  ``r`` is read by ``read_radius`` and ``variant`` by
     ``CostVariant``, so ``True`` walks radius 1 and "exact" as the member
     does, while a float such as 2.0 or an unknown name raises before any work.
+    So does a radius whose 2r step bytes exceed physical memory, with
+    MemoryError from ``require_memory``.
 
     ``simplified`` and ``approx`` call their predicate at every step;
     ``exact`` runs ``_walk_midpoint``, which decides exactly as
@@ -284,6 +332,7 @@ def generate_quadrant(r: int, variant: CostVariant | str = CostVariant.EXACT) ->
     differ there for r = 1, but the walk never visits it.
     """
     r, variant = read_radius(r), CostVariant(variant)
+    require_memory(f"{2 * r} steps", 2 * r, "for the step array")
     if variant is CostVariant.EXACT:
         steps = _walk_midpoint(r)
     elif variant is CostVariant.SIMPLIFIED:

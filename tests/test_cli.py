@@ -605,6 +605,23 @@ def test_huge_radius_is_an_arithmetic_failure(command, capsys):
         )
 
 
+@pytest.mark.skipif(os.name != "posix", reason="reads physical memory with os.sysconf")
+@pytest.mark.parametrize("command", ["generate", "pi", "area", "area --with-bounds", "sweep"])
+def test_radius_past_physical_memory_is_refused_before_the_walk(command, capsys):
+    # 2r step bytes past physical memory are refused by require_memory with
+    # the need and the limit, instead of a bare MemoryError from the walk's
+    # allocation; sweep has run r = 5 by then but writes nothing
+    r = 10**13
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    radius = f"5,{r}" if command == "sweep" else str(r)
+    assert run([*HUGE_RADIUS_COMMANDS[command], radius]) == 3
+    assert capsys.readouterr() == (
+        "",
+        f"arithmetic failure: {2 * r} steps need {2 * r} bytes for the step array,"
+        f" more than the {memory} bytes of physical memory\n",
+    )
+
+
 def test_memory_error_is_named_when_it_carries_no_message(monkeypatch, capsys):
     def exhausted(*args):
         raise MemoryError()

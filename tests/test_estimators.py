@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from array import array
 from fractions import Fraction
 
@@ -40,6 +41,49 @@ def test_sequence_r2():
     seq = pi_sequence(2, SIGNUM)
     assert seq.l1_values == (2, 3, 2, 3)
     assert [4 * 2 / a for a in seq.l1_values] == [4.0, 8 / 3, 4.0, 8 / 3]
+
+
+def assert_view_streams_the_trace(r, trace):
+    # the signum view holds only the step bytes and r; each pass accumulates
+    # them afresh, and both float means are the bits that fsum gives over
+    # the trace's stored tuple (fsum is correctly rounded, so order and the
+    # exact integer sum of the harmonic mean cannot change them)
+    seq = pi_sequence(r, SIGNUM)
+    view, l1_dists = seq.l1_values, trace.l1_dists
+    assert len(view) == 2 * r, r
+    assert list(view) == list(view), r
+    assert tuple(view) == l1_dists and view == l1_dists, r
+    arithmetic = 2 * math.fsum(1 / a for a in l1_dists)
+    harmonic = 8 * r * r / math.fsum(l1_dists)
+    assert repr(arithmetic_mean_pi(seq)) == repr(arithmetic), r
+    assert repr(harmonic_mean_pi(seq)) == repr(harmonic), r
+
+
+VIEW_RADII = sorted({*range(1, 513), *(2**k + d for k in range(10, 18) for d in (-1, 1))})
+
+
+def test_signum_view_streams_the_trace():
+    for r in VIEW_RADII:
+        assert_view_streams_the_trace(r, cached_trace(r))
+
+
+@pytest.mark.slow
+def test_signum_view_streams_the_trace_at_a_million():
+    assert_view_streams_the_trace(10**6, cached_trace(10**6))
+
+
+@pytest.mark.parametrize("estimator", list(Estimator))
+def test_signum_estimate_holds_only_the_step_bytes(estimator):
+    # the view stores no distances: estimate's peak is the 2r-byte step
+    # array plus at most one 16 KiB block of ``l1_sum``'s up-step count
+    r = 200_000
+    tracemalloc.start()
+    try:
+        estimate(r, estimator, SIGNUM)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * r + 64 * 1024
 
 
 @pytest.mark.parametrize("source", [SIGNUM, PARAM_EXACT, PARAM_FLOOR, PARAM_ROUND])

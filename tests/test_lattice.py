@@ -2,7 +2,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import cached_trace
-from latticircle.lattice import PointColumns, check_path
+from latticircle import lattice
+from latticircle.lattice import PointColumns, check_path, require_memory
 from latticircle.signum import assemble_full_circle
 from latticircle.svg import render_path_svg
 
@@ -227,3 +228,22 @@ def test_point_columns_are_two_equal_length_columns():
     assert len(PointColumns([], [])) == 0
     with pytest.raises(ValueError):
         PointColumns([0, 1], [0])
+
+
+def test_require_memory_names_the_need_and_the_limit(monkeypatch):
+    sizes = {"SC_PHYS_PAGES": 1000, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(lattice.os, "sysconf", lambda name: sizes[name])
+    require_memory("4 things", 4_096_000, "of cells")  # exactly physical memory fits
+    with pytest.raises(MemoryError) as info:
+        require_memory("4 things", 4_096_001, "of cells")
+    assert str(info.value) == (
+        "4 things need 4096001 bytes of cells, more than the 4096000 bytes of physical memory"
+    )
+
+
+def test_require_memory_has_no_bound_without_a_page_count(monkeypatch):
+    def unknown(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.setattr(lattice.os, "sysconf", unknown)
+    require_memory("4 things", 10**30, "of cells")

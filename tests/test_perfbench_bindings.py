@@ -48,3 +48,17 @@ def test_parse_result_counts_rows_and_feeds_the_check(tmp_path):
     assert (report.is_closed_valid, report.violations) == (True, ())
     assert describe["check_path"]((points, "closed"), report) == (
         "lattice.check", {"points": 4, "violations": 0})
+
+
+def test_signum_sequence_and_means_count_every_sample():
+    # the tracer counts estimators.sequence and estimators.mean samples with
+    # len(seq.l1_values), so the signum view must keep the 2r count that
+    # perfbench/test_smoke.py needs above 0
+    traced = load_traced()
+    estimators = traced.estimators
+    for r in (1, 2, 150_000):
+        seq = estimators.pi_sequence(r, "signum")
+        assert traced._sequence((r, "signum"), seq) == (
+            "estimators.sequence", {"samples": 2 * r})
+        for mean in (estimators.arithmetic_mean_pi, estimators.harmonic_mean_pi):
+            assert traced._mean((seq,), mean(seq)) == ("estimators.mean", {"samples": 2 * r})

@@ -26,10 +26,10 @@ from latticircle.estimators import (
     pi_sequence,
     sweep,
 )
-from latticircle.lattice import PointColumns, check_path
+from latticircle.lattice import PointColumns, check_path, read_radius, require_memory
 from latticircle.reference import DiscretizationSource
 from latticircle.signum import CostVariant, assemble_full_circle, generate_quadrant
-from latticircle.signum import circle_columns, mirror
+from latticircle.signum import circle_columns, mirror, require_step_memory
 from latticircle.svg import render_path_svg
 
 
@@ -115,14 +115,26 @@ def _full_circle_csv(trace) -> str:
     return _rows_csv(trace, full=True)
 
 
+# Lower bounds of the bytes each output point holds at the peak, CSV and SVG
+# alike: tracemalloc peaks of `generate` to a file at r = 10^4 .. 3 * 10^5
+# read 295-350 B per point for the quadrant and 155-203 for the full circle.
+_POINT_BYTES = {"quadrant": 250, "full": 150}
+
+
 def _cmd_generate(args) -> int:
-    trace = generate_quadrant(args.radius, args.cost)
+    r = read_radius(args.radius)
     full = args.extent == "full"
+    count = 8 * r if full else 2 * r
+    # both needs before the walk, the step array's first: it is named when it alone cannot fit
+    require_step_memory(r)
+    need = count * _POINT_BYTES[args.extent]
+    require_memory(f"{count} points", need, f"for the {args.extent} {args.format.upper()}")
+    trace = generate_quadrant(r, args.cost)
     if args.format == "csv":
         text = _full_circle_csv(trace) if full else _trace_csv(trace)
     else:
         points = assemble_full_circle(trace).points if full else PointColumns(trace.xs, trace.ys)
-        text = render_path_svg(points, args.radius, full, args.overlay_circle)
+        text = render_path_svg(points, r, full, args.overlay_circle)
     _emit(text, args.out)
     return 0
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from itertools import repeat
+from itertools import accumulate, chain, repeat
 from operator import truediv
 from typing import TYPE_CHECKING, Collection, NamedTuple, Sequence
 
@@ -90,8 +90,22 @@ def pi_sequence(
 
 
 def arithmetic_mean_pi(seq: PiSequence) -> float:
-    """Arithmetic mean of the ratios: 2 sum(1 / a_n), compensated summation."""
-    return 2 * math.fsum(map(truediv, repeat(1), seq.l1_values))
+    """Arithmetic mean of the ratios: 2 sum(1 / a_n), compensated summation.
+
+    The signum view sums the first half only: a_{2r-n} = a_n (see
+    ``QuadrantTrace``), so the terms are 1/a_0, 1/a_r and 2/a_n for
+    1 <= n < r, with a_0..a_r streamed from the first r steps.  The float
+    is the one the 2r terms give: 2/a rounds to exactly twice the rounding
+    of 1/a, so the new terms add up exactly to the old ones, and fsum
+    rounds the exact sum of its terms."""
+    values = seq.l1_values
+    if isinstance(values, L1Distances):
+        r = values.radius
+        weights = chain((1,), repeat(2, r - 1), (1,))
+        values = accumulate(memoryview(values.steps)[:r], initial=r)
+    else:
+        weights = repeat(1)
+    return 2 * math.fsum(map(truediv, weights, values))
 
 
 def harmonic_mean_pi(seq: PiSequence) -> float:

@@ -292,6 +292,12 @@ def _walk_predicate(r: int, decide) -> array:
     return steps
 
 
+def require_step_memory(r: int) -> None:
+    """Raise MemoryError, by ``require_memory``, when the 2r step bytes of a
+    radius-r walk exceed physical memory."""
+    require_memory(f"{2 * r} steps", 2 * r, "for the step array")
+
+
 def generate_quadrant(r: int, variant: CostVariant | str = CostVariant.EXACT) -> QuadrantTrace:
     """Walk the quarter circle from (r, 0): 2r points, one decision each.
 
@@ -332,7 +338,7 @@ def generate_quadrant(r: int, variant: CostVariant | str = CostVariant.EXACT) ->
     differ there for r = 1, but the walk never visits it.
     """
     r, variant = read_radius(r), CostVariant(variant)
-    require_memory(f"{2 * r} steps", 2 * r, "for the step array")
+    require_step_memory(r)
     if variant is CostVariant.EXACT:
         steps = _walk_midpoint(r)
     elif variant is CostVariant.SIMPLIFIED:

@@ -81,6 +81,60 @@ def test_inner_outer_on_radii_with_many_pythagorean_legs(r):
     assert outer - inner < 2 * r - 1  # some r^2 - i^2 is a perfect square
 
 
+def octant_loop_inner_outer(r):
+    """The former octant loop: one isqrt per column i <= isqrt(r^2 // 2)."""
+    rsq = r * r
+    k = math.isqrt(rsq // 2)
+    heights = squares = 0
+    for i in range(1, k + 1):
+        n = rsq - i * i
+        h = math.isqrt(n)
+        heights += h
+        squares += h * h == n
+    inner = 2 * heights - k * k
+    return inner, inner + 2 * r - 1 - 2 * squares
+
+
+# 5525 = 5^2 13 17, 27625 = 5^3 13 17 and 32 * 5525 lie on many Pythagorean triples
+HULL_RADII = sorted(
+    {*range(1, 3001), *(2**k + d for k in range(2, 22) for d in (-1, 1)), 5525, 27625, 32 * 5525}
+)
+
+
+def test_hull_walk_matches_the_octant_loop():
+    for r in HULL_RADII:
+        assert inner_outer_areas(r) == octant_loop_inner_outer(r), r
+
+
+@pytest.mark.parametrize("r", [5525, 27625, 32 * 5525])
+def test_hull_walk_lands_on_every_circle_point(r):
+    # every lattice point of the circle with 1 <= i <= k is a column whose
+    # r^2 - i^2 is a perfect square; the walk must count each one
+    k = math.isqrt(r * r // 2)
+    on_circle = sum(math.isqrt(r * r - i * i) ** 2 == r * r - i * i for i in range(1, k + 1))
+    inner, outer = inner_outer_areas(r)
+    assert on_circle > 10
+    assert outer - inner == 2 * r - 1 - 2 * on_circle
+
+
+@pytest.mark.parametrize(
+    "r, bounds",
+    [
+        # computed by the octant loop
+        (10**7, (78539806337647, 78539826337632)),
+        (2**24 + 1, (221069939322215, 221069972876622)),
+    ],
+)
+def test_hull_walk_at_large_radii(r, bounds):
+    assert inner_outer_areas(r) == bounds
+
+
+@pytest.mark.slow
+def test_hull_walk_matches_the_octant_loop_exhaustively():
+    for r in range(1, 20_001):
+        assert inner_outer_areas(r) == octant_loop_inner_outer(r), r
+
+
 def test_inner_outer_rejects_bad_radius():
     with pytest.raises(ValueError):
         inner_outer_areas(0)

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from itertools import chain, repeat
 from operator import itemgetter
@@ -620,6 +621,55 @@ def test_radius_past_physical_memory_is_refused_before_the_walk(command, capsys)
         f"arithmetic failure: {2 * r} steps need {2 * r} bytes for the step array,"
         f" more than the {memory} bytes of physical memory\n",
     )
+
+
+GENERATE_OUTPUTS = {
+    "quadrant CSV": [],
+    "full CSV": ["--extent", "full"],
+    "quadrant SVG": ["--format", "svg"],
+    "full SVG": ["--extent", "full", "--format", "svg"],
+}
+
+
+@pytest.mark.parametrize("output", GENERATE_OUTPUTS)
+def test_generate_output_past_physical_memory_is_refused_before_the_walk(
+    output, monkeypatch, capsys, tmp_path
+):
+    # 256 KiB holds the 200 000 step bytes of r = 10^5 but not its output,
+    # which is refused with the need and the limit before the walk starts
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 64, "SC_PAGE_SIZE": 4096}.get)
+
+    def walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(cli, "generate_quadrant", walk)
+    out = tmp_path / "out"
+    argv = ["generate", "--radius", str(10**5), *GENERATE_OUTPUTS[output], "--out", str(out)]
+    assert run(argv) == 3
+    points, need = (800000, 120000000) if output.startswith("full") else (200000, 50000000)
+    assert capsys.readouterr() == (
+        "",
+        f"arithmetic failure: {points} points need {need} bytes for the {output},"
+        " more than the 262144 bytes of physical memory\n",
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("output", GENERATE_OUTPUTS)
+def test_generate_output_need_is_a_lower_bound(output, tmp_path):
+    # the stated bytes per point stay below what the output really holds,
+    # so no radius whose output fits is refused
+    extra = GENERATE_OUTPUTS[output]
+    r = 10**4
+    count = 8 * r if "full" in extra else 2 * r
+    run(["generate", "--radius", "5", *extra, "--out", str(tmp_path / "warm")])
+    tracemalloc.start()
+    try:
+        assert run(["generate", "--radius", str(r), *extra, "--out", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak > count * cli._POINT_BYTES["full" if "full" in extra else "quadrant"]
 
 
 def test_memory_error_is_named_when_it_carries_no_message(monkeypatch, capsys):

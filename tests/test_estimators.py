@@ -2,6 +2,8 @@ import math
 import tracemalloc
 from array import array
 from fractions import Fraction
+from itertools import repeat
+from operator import truediv
 
 import pytest
 
@@ -70,6 +72,17 @@ def test_signum_view_streams_the_trace():
 @pytest.mark.slow
 def test_signum_view_streams_the_trace_at_a_million():
     assert_view_streams_the_trace(10**6, cached_trace(10**6))
+
+
+MEAN_RADII = sorted({*range(1, 3001), *(2**k + d for k in range(2, 22) for d in (-1, 1))})
+
+
+def test_half_length_arithmetic_mean_is_the_full_length_float():
+    # the former sum over all 2r terms is the oracle, compared bit for bit
+    for r in MEAN_RADII:
+        seq = pi_sequence(r, SIGNUM)
+        full = 2 * math.fsum(map(truediv, repeat(1), seq.l1_values))
+        assert arithmetic_mean_pi(seq).hex() == full.hex(), r
 
 
 @pytest.mark.parametrize("estimator", list(Estimator))

@@ -5,6 +5,15 @@ of x unit cells, so summing x over the upward steps gives the area
 enclosed by the path, the axes included.  Counting unit cells whose far
 corner stays inside the circle (inner) and whose near corner does (outer)
 brackets that area, and 4 area / r^2 approaches pi as r grows.
+
+The cells under the path are C = {(i, j) >= 0 : (2i+1)^2 + (2j+1)^2 <= 4r^2 - 2}
+(``signum._walk_hull``), so the area counts a shifted lattice in a disc:
+4|C| = N(rho), the number of points of (Z + 1/2)^2 in the closed disc of
+radius^2 rho^2 = r^2 - 1/2 about the origin.  Cell (i, j) is in C exactly
+when its centre (i + 1/2, j + 1/2) is in that disc, and the reflections
+(+-p, +-q) of the centres cover (Z + 1/2)^2 once each, since none of its
+points lies on an axis.  So 4 area / r^2 = N(rho) / r^2 approaches pi at
+the rate of the Gauss circle problem.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ import math
 from typing import NamedTuple
 
 from latticircle.lattice import read_radius
-from latticircle.signum import CostVariant, QuadrantTrace, generate_quadrant, l1_sum
+from latticircle.signum import CostVariant, QuadrantTrace, _hull_runs, generate_quadrant, l1_sum
 
 
 def area_recursive(trace: QuadrantTrace) -> int:
@@ -60,68 +69,22 @@ def inner_outer_areas(r: int) -> tuple[int, int]:
     The octant sum is taken along the upper convex hull of the lattice
     points D = {(i, j) : 0 <= i <= k, F(i, j) <= 0}, F(i, j) = i^2 + j^2 - r^2,
     which has O(r^(2/3)) vertices (Balog and Barany, 1991), by the
-    Stern-Brocot walk of Sladkey (arXiv:1206.3369).  D is the lattice part
-    of a convex set, so its hull lies in the disc and floor(hull(i)) = h_i:
-    (i, h_i) is in D and hull(i) <= sqrt(r^2 - i^2) < h_i + 1.  From the
-    vertex (0, r) the walk steps along each hull edge by its primitive
-    direction (a, b), coprime, from (i, j) to (i + a, j - b).  One step
-    passes columns i + t, t = 1..a, at heights j - ceil(tb/a), and
-    sum_{t<=a} ceil(tb/a) = (a-1)(b+1)/2 + b: for t < a, tb/a is no
-    integer, so ceil = floor + 1, and t <-> a - t pairs the floors to
-    b - 1 each.
-
-    A direction u fits at P when P + u is in D.  The next edge is the
-    shallowest u that fits: the segment from P to a farther point of D
-    holds P + u.  Edges only steepen, and (1, 1) always fits, since
-    F(i+1, j-1) = F(i, j) + 2(i - j + 1) and j = h_i >= k > i; so the
-    directions stay between (1, 0) and (1, 1), and the stack holds a chain
-    of Farey neighbours (ad - bc = 1) from the current one down to (1, 1).
-    Directions that do not fit are closed under addition: with u = (a, b),
-    v = (c, d), F(P+u+v) = F(P+u) + F(P+v) - F(P) + 2(ac + bd), where
-    F(P) <= 0, and i only grows.  So once the stack's top does not fit,
-    popping to the first L that fits leaves the next edge between L and
-    the last popped R, neighbours with R out: it is L or some iL + jR,
-    i, j >= 1.  The mediant M = L + R is pushed as the new L when it fits
-    and replaces R otherwise.  The search stops at L once M fails at
-    Q = P + M with Q past column k, or with F not falling along L from Q.
-    F always rises along R from Q, as F is convex and Q - R = P + L fits:
-    F(Q+R) - F(Q) = F(Q) - F(P+L) + 2|R|^2 > 0.  So then
-    F(Q + sL + tR) - F(Q) = s(F(Q+L) - F(Q)) + t(F(Q+R) - F(Q))
-    + (s^2 - s)|L|^2 + (t^2 - t)|R|^2 + 2st L.R >= 0 for all integers
-    s, t >= 0, and no iL + jR fits.
+    Stern-Brocot walk of Sladkey (arXiv:1206.3369): ``_hull_runs`` with
+    s = 0, which needs F(k - 1, k) = 2k^2 - 2k + 1 - r^2 <= 0, true as
+    2k^2 <= r^2.  One step by (a, b) from height j passes a columns with
+    heights summing to aj - c, c = (a-1)(b+1)/2 + b, the ceiling sum there,
+    so a run of m steps that ends at height j adds m(aj - c) + ab m(m+1)/2.
 
     Every lattice point with F = 0 lies on the circle, so it is an extreme
-    point of D's hull: the walk lands on each one with i >= 1 and counts P
-    from the same F it tests for the step.
+    point of D's hull: the walk lands on each one with i >= 1, at the end
+    of a run, and counts P from the run's last F.
     """
     r = read_radius(r)
-    rsq = r * r
-    k = math.isqrt(rsq // 2)
-    i, j, f = 0, r, 0  # a hull vertex and F there
-    stack = [(1, 1), (1, 0)]
+    k = math.isqrt(r * r // 2)
     heights = squares = 0
-    while True:
-        a, b = stack.pop()
-        while i + a <= k and (g := f + a * (2 * i + a) + b * (b - 2 * j)) <= 0:
-            heights += a * j - ((a - 1) * (b + 1) >> 1) - b
-            i, j, f = i + a, j - b, g
-            squares += g == 0
-        if i == k:
-            break
-        while True:  # L: the first direction on the stack that fits
-            la, lb = stack[-1]
-            if i + la <= k and f + la * (2 * i + la) + lb * (lb - 2 * j) <= 0:
-                break
-            a, b = stack.pop()
-        while (qi := i + la + a) <= k:  # a, b is R
-            qj = j - lb - b
-            if qi * qi + qj * qj <= rsq:
-                la, lb = la + a, lb + b
-                stack.append((la, lb))
-            elif 2 * (qi * la - qj * lb) + la * la + lb * lb >= 0:
-                break
-            else:
-                a, b = la + a, lb + b
+    for a, b, m, j, f, _ in _hull_runs(r, 0, k):
+        heights += m * (a * j - ((a - 1) * (b + 1) >> 1) - b) + a * b * (m * (m + 1) >> 1)
+        squares += f == 0
     inner = 2 * heights - k * k
     return inner, inner + 2 * r - 1 - 2 * squares
 

@@ -11,6 +11,7 @@ import argparse
 import functools
 import gc
 import math
+import os
 import sys
 from itertools import chain, cycle, islice, repeat
 from operator import itemgetter
@@ -308,10 +309,18 @@ def run(argv: Sequence[str] | None = None) -> int:
         collecting = gc.isenabled()
         gc.disable()
         try:
-            return args.func(args)
+            code = args.func(args)
+            sys.stdout.flush()  # a closed pipe raises here, not at exit
+            return code
         finally:
             if collecting:
                 gc.enable()
+    except BrokenPipeError:
+        # the reader left early, as `| head` does: that ends the command
+        # normally, and stdout is pointed at devnull so the interpreter's
+        # flush at exit writes nowhere instead of raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, OSError) as e:
         print(str(e), file=sys.stderr)
         return 1

@@ -16,10 +16,13 @@ Three equivalent step deciders are provided as the reference predicates:
 * ``cost_approx``    drops the square roots altogether and keeps only the
                      quadratic term; it is admitted for radius >= 5.
 
-The exact trace itself is produced by ``_walk_midpoint``, an additions-only
-second-order midpoint walker whose decisions equal ``cost_exact``'s on every
-state (the proof is in ``generate_quadrant``).  A trace stores one signed
-byte per step; points, distances and running sums are derived from it.
+The exact trace itself is produced by ``_walk_hull``, whose decisions equal
+``cost_exact``'s on every state (the proof is in ``generate_quadrant``).  It
+reads the path off the convex hull of the cells the path encloses, which
+has O(r^(2/3)) edges, found by the Stern-Brocot walk ``_hull_runs``, and
+writes each edge's steps as one repeated byte pattern.  A trace stores one
+signed byte per step; points, distances and running sums are derived from
+it.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from __future__ import annotations
 import enum
 from array import array
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
+from math import isqrt
 from operator import eq, neg
 from typing import Iterator, NamedTuple
 
@@ -97,9 +101,10 @@ def cost_approx(a: int, c: int, r: int) -> int:
 
     With sgn(0) = -1 that is +1 exactly when a^2 + c^2 + 1 <= 2 r^2, which
     is how it is computed.  On a lattice state (a = x + y, c = x - y - 1)
-    the quadratic equals 2d, with d the midpoint decision variable of
-    ``_walk_midpoint``, so this is the midpoint rule, and it agrees with
-    ``cost_exact`` at every radius r >= 1 (see ``generate_quadrant``).  The
+    the quadratic equals 2d, with d = x^2 - x + y^2 + y + 1 - r^2 the
+    midpoint decision variable, so this is the midpoint rule, and it
+    agrees with ``cost_exact`` at every radius r >= 1 (see
+    ``generate_quadrant``).  The
     r >= 5 guard is the domain the paper documents for this variant, not a
     correctness bound.
     """
@@ -122,7 +127,7 @@ class QuadrantTrace:
     including n, and ``xs``, ``ys``, ``points`` the coordinates.
 
     Every trace mirrors in the diagonal: s_{2r-1-n} = -s_n, so point 2r - n
-    is point n with x and y swapped.  ``_walk_midpoint`` proves it and
+    is point n with x and y swapped.  ``_walk_hull`` proves it and
     decides only the first half; ``_walk_predicate`` asserts it, so it
     holds for every variant.  The views build their second halves from it,
     and mirrored entries share their int objects:
@@ -216,57 +221,162 @@ class L1Distances:
         return l1_sum(self.steps, self.radius)
 
 
-def _walk_midpoint(r: int) -> array:
-    """Exact quadrant steps by the second-order midpoint scheme, additions only.
+_NEGATE = bytes.maketrans(b"\x01\xff", b"\xff\x01")  # s -> -s on signed bytes
 
-    The decision variable is d = x^2 - x + y^2 + y + 1 - r^2, which starts
-    at 1 - r at (r, 0).  The walk steps up when d <= 0 and left otherwise.
-    An up step adds 2y + 2 to d and a left step subtracts 2x - 2; both
-    differences change by 2 with each move along their axis (Bresenham,
-    "A linear algorithm for incremental digital display of circular arcs",
-    CACM 1977), so no multiplication is needed.  ``generate_quadrant``
-    proves that the decisions are those of ``cost_exact``.
 
-    Only the first r steps are decided; the rest mirror them,
-    s_{2r-1-n} = -s_n.  Proof: at (x, y), d = f(x-1, y) with
-    f(i, j) = i^2 + i + j^2 + j + 1 - r^2, so the walk steps up exactly
-    when the unit cell [x-1, x] x [y, y+1] lies in
-    C = {(i, j) >= 0 : f(i, j) <= 0}, the cells whose centres satisfy
-    (2i+1)^2 + (2j+1)^2 <= 4r^2 - 2.  f grows in i and in j, so C is a
-    down-set: column i of C is the cells j < h_i, with h_i nonincreasing,
-    h_0 = r (f(0, r-1) = 1 - r <= 0 < f(0, r)) and h_r = 0.  By induction
-    on x from r down to 1, the walk reaches x at height h_x <= h_{x-1},
-    climbs to h_{x-1} and steps left; so the cells below and left of the
-    path are exactly C, and the path is C's boundary staircase from (r, 0)
-    to (0, r).  Such a staircase is determined by the cells below it, and
+def _hull_runs(r: int, s: int, k: int) -> Iterator[tuple[int, int, int, int, int, bytes]]:
+    """The upper convex hull of D = {(i, j) : 0 <= i <= k, F(i, j) <= 0}, with
+    F(i, j) = i^2 + j^2 + s(i + j + 1) - r^2 and s in {0, 1}, as edge runs
+    (a, b, m, j, f, P): m steps by the coprime direction (a, b), each from
+    (i, j) to (i + a, j - b), ending at height j with F = f, and P = P(a, b),
+    the step pattern of one step.
+
+    For s = 0, D is the lattice part of the disc of radius r about the
+    origin (``area.inner_outer_areas``); for s = 1 it is the cells of the
+    quadrant path (``_walk_hull``): 4F = (2i+1)^2 + (2j+1)^2 - 4r^2 + 2.
+    The walk starts at the top of column 0, (0, r - s), and ends at column
+    k, which the caller chooses with k = 0 or F(k - 1, k) <= 0.  The top
+    h_i of column i, the largest j with F(i, j) <= 0, falls as i grows, so
+    h_i >= k >= i + 1 for every i < k.  D is the lattice part of a convex
+    set, so its hull lies in that set and floor(hull(i)) = h_i: (i, h_i) is
+    in D and hull(i) < h_i + 1.  So one step by (a, b) passes columns
+    i + t, t = 1..a, at heights j - ceil(tb/a), and its column drops are
+    d_t = ceil(tb/a) - ceil((t-1)b/a).  Their partial sums total
+    sum_{t<=a} ceil(tb/a) = (a-1)(b+1)/2 + b: for t < a, tb/a is no
+    integer, so ceil = floor + 1, and t <-> a - t pairs the floors to
+    b - 1 each.
+
+    A direction u fits at P when P + u is in D.  The next edge is the
+    shallowest u that fits: the segment from P to a farther point of D
+    holds P + u.  Edges only steepen, and (1, 1) always fits before column
+    k, since F(i+1, j-1) = F(i, j) + 2(i - j + 1) and j = h_i > i; so the
+    directions stay between (1, 0) and (1, 1), and the stack holds a chain
+    of Farey neighbours from the current one down to (1, 1).  Directions
+    that do not fit are closed under addition: with u = (a, b),
+    v = (c, d), F(P+u+v) = F(P+u) + F(P+v) - F(P) + 2(ac + bd), where
+    F(P) <= 0, and i only grows.  So once the stack's top does not fit,
+    popping to the first L that fits leaves the next edge between L and
+    the last popped R, neighbours with R out: it is L or some xL + yR,
+    x, y >= 1.  The mediant M = L + R is pushed as the new L when it fits
+    and replaces R otherwise.  The search stops at L once M fails at
+    Q = P + M with Q past column k, or with F not falling along L from Q.
+    F always rises along R from Q, as F is convex and Q - R = P + L fits:
+    F(Q+R) - F(Q) = F(Q) - F(P+L) + 2|R|^2 > 0.  So then
+    F(Q + xL + yR) - F(Q) = x(F(Q+L) - F(Q)) + y(F(Q+R) - F(Q))
+    + (x^2 - x)|L|^2 + (y^2 - y)|R|^2 + 2xy L.R >= 0 for all integers
+    x, y >= 0, and no xL + yR fits.  Along a run F is a strictly convex
+    quadratic in the step count, so a run lands on F = 0 only at its ends.
+
+    The pattern P(a, b) is one up step (byte 0x01) and then d_t left steps
+    (0xff) for t = 1..a, the bytes ``_walk_hull`` writes for the step.
+    P(1, 0) is up and P(1, 1) is up, left, the stack's first entries.  For
+    Farey neighbours L = (a, b), the steeper, and R = (c, d), bc - ad = 1,
+    P(L + R) = P(L) + P(R): the drops of M = L + R are L's over its first
+    a columns and R's over its last c.
+    With beta = (b+d)/(a+c), that is ceil(t beta) = ceil(tb/a) for t <= a
+    and ceil((a+u) beta) = b + ceil(ud/c) for u <= c.  In both the two
+    values differ only if an integer n lies between them.  First,
+    t beta <= n < tb/a puts (t, n) in the cone of M and L, so
+    (t, n) = xL + yM with integers x >= 0, y >= 1, as |det(L, M)| = 1, and
+    t >= a + c > a.  Second, (a+u) beta - b = (u(b+d) - 1)/(a+c) <= ud/c;
+    an integer n from the one up to below the other gives (a+u, b+n) a
+    slope of at least beta and at most d/c < beta.  These are the
+    Christoffel words and their standard factorization (Borel and Laubie,
+    1993).
+
+    So the search carries the patterns in one byte string, the word:
+    P(u) is its first a + b bytes for every u on the stack and for the
+    last direction walked or popped.  P(1, 0) is the first byte of
+    P(1, 1), and a pushed M has its L, the entry below it, as prefix.
+    While the mediants are searched, the word is P(M) = P(L) + P(R), so
+    M becoming L appends P(R), the part past P(L), and M becoming R
+    prepends P(L).  A pattern per stack entry would cost far more: near
+    the top of the circle the stack holds (1, 1), (2, 1), ..., (n, 1),
+    with n of order sqrt(r), and their patterns n^2 / 2 bytes.
+    """
+    rs = r * r - s  # F(i, j) = i(i + s) + j(j + s) - rs
+    i, j, f = 0, r - s, s * (1 - r)
+    stack, word = [(1, 1), (1, 0)], b"\x01\xff"  # P(1, 1); P(1, 0) is its first byte
+    while True:
+        a, b = stack.pop()
+        # F(P + u) - F(P) along the run, which grows by 2|u|^2 a step
+        d, w = a * (2 * i + a + s) + b * (b - 2 * j - s), 2 * (a * a + b * b)
+        m, top = 0, (k - i) // a
+        while m < top and (g := f + d) <= 0:
+            f, d, m = g, d + w, m + 1
+        if m:
+            i, j = i + m * a, j - m * b
+            yield a, b, m, j, f, word[: a + b]
+        if i == k:
+            return
+        la, lb = stack[-1]  # L: the first direction on the stack that fits
+        while i + la > k or f + la * (2 * i + la + s) + lb * (lb - 2 * j - s) > 0:
+            a, b = stack.pop()
+            la, lb = stack[-1]
+        word = word[: la + lb] + word[: a + b]  # P(L) + P(R), with (a, b) as R
+        while (qi := i + la + a) <= k:
+            qj = j - lb - b
+            if qi * (qi + s) + qj * (qj + s) <= rs:
+                la, lb, word = la + a, lb + b, word + word[la + lb :]
+                stack.append((la, lb))
+            elif la * (2 * qi + la + s) + lb * (lb - 2 * qj - s) >= 0:
+                break
+            else:
+                a, b, word = la + a, lb + b, word[: la + lb] + word
+
+
+def _walk_hull(r: int) -> array:
+    """Exact quadrant steps from the hull of the cells below the path.
+
+    With f(i, j) = i^2 + i + j^2 + j + 1 - r^2, F of ``_hull_runs`` for
+    s = 1, the exact rule steps up at (x, y) exactly when d = f(x-1, y) <= 0
+    (``generate_quadrant``), that is, when the unit cell [x-1, x] x [y, y+1]
+    lies in C = {(i, j) >= 0 : f(i, j) <= 0}, the cells whose centres
+    satisfy (2i+1)^2 + (2j+1)^2 <= 4r^2 - 2.  f grows in i and in j, so C
+    is a down-set: column i of C is the cells j < H_i, with H_i
+    nonincreasing, H_0 = r (f(0, r-1) = 1 - r <= 0 < f(0, r)) and H_r = 0.
+    By induction on x from r down to 1, the walk reaches x at height
+    H_x <= H_{x-1}, climbs to H_{x-1} and steps left; so the cells below
+    and left of the path are exactly C, and the path is C's boundary
+    staircase from (r, 0) to (0, r).
+
+    Such a staircase is determined by the cells below it, and
     f(i, j) = f(j, i), so reflection in the diagonal maps C, and hence the
     path, onto itself, traversed backwards.  The point (x, y) is point
     n = r - x + y, so point 2r - n is the reflection of point n, and step n
     reflected and run backwards is step 2r - 1 - n with up and left
-    swapped: s_{2r-1-n} = -s_n.  Point r lies on the diagonal.
+    swapped: s_{2r-1-n} = -s_n.  Point r lies on the diagonal.  So only the
+    first r steps are decided.
 
-    The array starts as all left steps, so a left step at n writes the
-    mirrored up step at 2r - 1 - n and an up step writes only itself.
+    Reflected, they run from (0, r) along the top of C: one up step across
+    column i, then H_i - H_{i+1} left steps, for i = 0, 1, ..., cut at r
+    steps.  The top cell of column i is H_i - 1, so a hull step by (a, b)
+    emits P(a, b) of ``_hull_runs``, and a run of m steps emits it m times.
+    The hull is walked to column k, the last with f(k, k+1) <= 0, that is
+    2(k+1)^2 + 1 <= r^2 (k = 0 if there is none), as ``_hull_runs``
+    requires; that emits the k + r - H_k steps of columns 0..k-1.  The
+    other H_k - k steps are the first of the 2 + H_k - H_{k+2} that
+    columns k and k + 1 emit, enough since f(k+1, k+2) > 0 gives
+    H_{k+2} <= H_{k+1} <= k + 2.  Their heights count the odd 2j + 1 with
+    (2j+1)^2 <= 4r^2 - 4i^2 - 4i - 3, none in column r or past it.
+
+    Each run goes to its place n and, reversed and negated, to its mirror
+    place 2r - n - len(run), through an unsigned view of the step array:
+    the walk holds the 2r bytes and one run.
     """
-    last = 2 * r - 1
-    steps = array("b", [-1]) * (last + 1)  # every step left until set
-    d = 1 - r
-    up = 2  # 2y + 2
-    left = 2 * r - 2  # 2x - 2
-    for n in range(r):
-        if d <= 0:
-            steps[n] = 1
-            d += up
-            up += 2
-        else:
-            steps[last - n] = 1
-            d -= left
-            left -= 2
-    assert left // 2 + 1 == up // 2 - 1, "half turn must end on the diagonal"
+    steps = array("b", [0]) * (2 * r)
+    out = memoryview(steps).cast("B")  # a "b" view refuses bytes objects
+
+    k = max(0, isqrt((r * r - 1) // 2) - 1)
+    hs = [(isqrt(max(0, 4 * (r * r - i * i - i) - 3)) + 1) // 2 for i in range(k, k + 3)]
+    tail = b"".join(b"\x01" + b"\xff" * (h - g) for h, g in zip(hs, hs[1:]))[: hs[0] - k]
+    n = 0
+    for run in chain((p * m for _, _, m, _, _, p in _hull_runs(r, 1, k)), (tail,)):
+        out[n : n + len(run)] = run
+        out[2 * r - n - len(run) : 2 * r - n] = run[::-1].translate(_NEGATE)
+        n += len(run)
+    assert n == r, "half turn must end on the diagonal"
     return steps
-
-
-_NEGATE = bytes.maketrans(b"\x01\xff", b"\xff\x01")  # s -> -s on signed bytes
 
 
 def _walk_predicate(r: int, decide) -> array:
@@ -310,9 +420,11 @@ def generate_quadrant(r: int, variant: CostVariant | str = CostVariant.EXACT) ->
     MemoryError from ``require_memory``.
 
     ``simplified`` and ``approx`` call their predicate at every step;
-    ``exact`` runs ``_walk_midpoint``, which decides exactly as
-    ``cost_exact`` does, by the following argument (compare McIlroy, "Best
-    approximate circles on integer grids", ACM TOG 1983).
+    ``exact`` runs ``_walk_hull``, which steps up at (x, y) exactly when
+    d = x^2 - x + y^2 + y + 1 - r^2 <= 0, the midpoint rule.  That rule
+    decides exactly as ``cost_exact`` does, by the following argument
+    (compare McIlroy, "Best approximate circles on integer grids", ACM TOG
+    1983).
 
     Take a quadrant state (x, y) other than the origin, so a = x + y >= 1,
     and any r >= 1.  Let u = (x-1)^2 + y^2 and v = x^2 + (y+1)^2 be the
@@ -340,7 +452,7 @@ def generate_quadrant(r: int, variant: CostVariant | str = CostVariant.EXACT) ->
     r, variant = read_radius(r), CostVariant(variant)
     require_step_memory(r)
     if variant is CostVariant.EXACT:
-        steps = _walk_midpoint(r)
+        steps = _walk_hull(r)
     elif variant is CostVariant.SIMPLIFIED:
         steps = _walk_predicate(r, cost_simplified)
     else:

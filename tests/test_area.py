@@ -44,6 +44,20 @@ def test_area_from_l1_sum_matches_column_sum():
         assert area_recursive(trace) == area_by_columns(trace), r
 
 
+def half_integer_points_in_disc(r):
+    """N(rho): the points (p, q) of (Z + 1/2)^2 with p^2 + q^2 <= r^2 - 1/2,
+    counted over the whole disc as (P, Q) = (2p, 2q), odd, with
+    P^2 + Q^2 <= 4r^2 - 2."""
+    odd = range(-2 * r + 1, 2 * r, 2)
+    return sum(P * P + Q * Q <= 4 * r * r - 2 for P in odd for Q in odd)
+
+
+@pytest.mark.parametrize("r", list(range(1, 61)))
+def test_area_counts_a_shifted_lattice_in_a_disc(r):
+    # 4|C| = N(rho), rho^2 = r^2 - 1/2: the identity of the area module
+    assert 4 * area_recursive(cached_trace(r)) == half_integer_points_in_disc(r)
+
+
 def test_area_counts_the_cell_centres_in_the_disc():
     for r in range(1, 2001):
         assert area_recursive(generate_quadrant(r)) == cell_centres_in_disc(r), r

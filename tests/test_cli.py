@@ -468,16 +468,21 @@ def test_block_parse_matches_the_per_line_parse(tmp_path_factory, text, block):
     assert got == outcome(per_line_read_points_csv, str(path))
 
 
-def run_module(*argv, code=None, preexec_fn=None):
-    """``python -m latticircle ARGV`` (or ``python -c CODE``) in a fresh process."""
+def module_env():
+    """The environment with this checkout's package first on the path."""
     env = dict(os.environ)
     src = str(pathlib.Path(latticircle.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_module(*argv, code=None, preexec_fn=None):
+    """``python -m latticircle ARGV`` (or ``python -c CODE``) in a fresh process."""
     command = ["-c", code] if code else ["-m", "latticircle", *argv]
     return subprocess.run(
         [sys.executable, *command],
         capture_output=True,
-        env=env,
+        env=module_env(),
         timeout=60,
         preexec_fn=preexec_fn,
     )
@@ -489,6 +494,39 @@ def test_python_dash_m_matches_run(capsys):
     assert done.returncode == 0
     assert done.stdout == capsys.readouterr().out.encode("utf-8")
     assert run_module("pi").returncode == 1
+
+
+def test_a_reader_that_leaves_early_ends_the_command_quietly():
+    # `latticircle generate | head -c 100` with stdout buffered, as it is
+    # unless PYTHONUNBUFFERED is set: exit 0, and nothing on stderr
+    env = module_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    command = [sys.executable, "-m", "latticircle"]
+    # 200 000 rows: the reader leaves while the CSV is being written
+    with subprocess.Popen(
+        [*command, "generate", "--radius", "100000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as child:
+        assert len(child.stdout.read(100)) == 100
+        child.stdout.close()
+        assert (child.wait(timeout=60), child.stderr.read()) == (0, b"")
+    # one line, still in stdout's buffer when the command returns: the
+    # pipe's read end is closed before the command starts
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [*command, "pi", "--radius", "10"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, b"")
 
 
 def test_one_parser_serves_every_run(capsys):

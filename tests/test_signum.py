@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 from array import array
 from itertools import accumulate, chain
 from operator import eq, neg
@@ -449,8 +451,54 @@ def test_predicate_traces_mirror_in_the_diagonal(variant, radii):
 def test_half_walk_matches_the_full_walk():
     for r in range(1, 3001):
         assert cached_trace(r).steps == full_walk_midpoint(r), r
-    for r in (2**k + e for k in range(1, 22) for e in (-1, 1)):
+    # 665857 and 1331714 solve 2(k+1)^2 + 1 = r^2, so the hull walk's last
+    # column k has f(k, k+1) = 0 exactly, and the r-step cut takes 2 of the
+    # 5 bytes that the tail's columns k and k+1 emit
+    for r in (*(2**k + e for k in range(1, 22) for e in (-1, 0, 1)), 665857, 1331714):
         assert generate_quadrant(r).steps == full_walk_midpoint(r), r
+
+
+@pytest.mark.parametrize(
+    "r, cut",
+    [
+        (1, (1, 3)),  # no k >= 0 has 2k^2 + 4k + 3 <= r^2: no hull run
+        (2, (2, 4)),  # k = 0: no hull run either
+        (3, (2, 5)),
+        (4, (3, 4)),
+        (1970, (2, 5)),
+        (10**6, (3, 4)),
+        (10**6 + 1, (2, 4)),
+    ],
+)
+def test_hull_walk_cuts_the_tail_at_the_diagonal(r, cut):
+    # cut: the tail steps kept before the diagonal, of the steps that
+    # columns k and k + 1 emit; H_i counts the odd c = 2j + 1 with
+    # c^2 <= 4r^2 - 4i^2 - 4i - 3, the cells of column i
+    k = max(0, math.isqrt((r * r - 1) // 2) - 1)
+    q = [4 * (r * r - i * i - i) - 3 for i in range(k, k + 3)]
+    heights = [(math.isqrt(n) + 1) // 2 if n > 0 else 0 for n in q]
+    assert (heights[0] - k, 2 + heights[0] - heights[2]) == cut
+    assert generate_quadrant(r).steps == full_walk_midpoint(r)
+
+
+def test_hull_walk_at_ten_million():
+    # sha256 of full_walk_midpoint(10**7), which takes seconds to walk
+    digest = "6ca2982ddd080c378604f627a718291418821bd1770d85e2536fea615aa2107c"
+    assert hashlib.sha256(generate_quadrant(10**7).steps).hexdigest() == digest
+
+
+def test_exact_walk_holds_only_the_step_bytes():
+    # the runs and their mirrors are written in place: the peak is the
+    # 2r-byte step array, one run of about 1.6 sqrt(r) bytes and the
+    # hull search's pattern word
+    r = 200_000
+    tracemalloc.start()
+    try:
+        generate_quadrant(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * r + 64 * 1024
 
 
 def full_length_ys(trace):

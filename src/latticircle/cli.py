@@ -13,25 +13,48 @@ import gc
 import math
 import os
 import sys
+from collections.abc import Sequence
 from itertools import chain, cycle, islice, repeat
 from operator import itemgetter
-from typing import Sequence
 
-from latticircle.area import area_report
-# unused pi_sequence and means stay imported: perfbench/traced.py wraps them by these names
-from latticircle.estimators import (
-    Estimator,
-    arithmetic_mean_pi,
-    estimate,
-    harmonic_mean_pi,
-    pi_sequence,
-    sweep,
-)
-from latticircle.lattice import PointColumns, check_path, read_radius, require_memory
-from latticircle.reference import DiscretizationSource
-from latticircle.signum import CostVariant, assemble_full_circle, generate_quadrant
-from latticircle.signum import circle_columns, mirror, require_step_memory
-from latticircle.svg import render_path_svg
+from latticircle.choices import CostVariant, DiscretizationSource, Estimator
+
+# The library names the commands call, by the module that defines them.  A
+# command imports only its own modules, when it runs, so `--help` compiles
+# none of them and `validate` only `lattice`.  `_bind` puts a module's names
+# in this module's globals, where the commands look them up and where a
+# tracer that wraps `cli.<name>` before the command runs replaces them;
+# `__getattr__` resolves a name for a caller outside `cli` before that.
+_NAMES = {
+    "lattice": ("PointColumns", "check_path", "read_radius", "require_memory"),
+    "signum": ("assemble_full_circle", "generate_quadrant", "require_step_memory"),
+    "svg": ("render_path_svg",),
+    # pi_sequence and the two means are never called here: perfbench/traced.py
+    # wraps them by these names.  A stats channel that replaces the wrappers
+    # would let them go, and the table become plain local imports.
+    "estimators": ("estimate", "sweep", "pi_sequence", "arithmetic_mean_pi", "harmonic_mean_pi"),
+    "area": ("area_report",),
+}
+
+
+def _bind(*modules: str) -> None:
+    """Import each module and bind its ``_NAMES`` here, keeping any name
+    that is already bound, such as a wrapper set on ``cli.<name>``."""
+    scope = globals()
+    for module in modules:
+        qualified = f"latticircle.{module}"
+        __import__(qualified)  # unlike importlib's, shown by -X importtime
+        found = vars(sys.modules[qualified])
+        for name in _NAMES[module]:
+            scope.setdefault(name, found[name])
+
+
+def __getattr__(name: str):
+    for module, names in _NAMES.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,6 +123,8 @@ def _rows_csv(trace, full: bool) -> str:
     quarter turn keeps the decisions and preserves a = |x| + |y|.  Rows are
     joined ``_ROWS`` at a time and then the blocks, so that only one block
     of row strings is alive at once; no row is empty, so neither is a block."""
+    from latticircle.signum import circle_columns, mirror
+
     xs = list(map(str, trace.xs))
     xs, ys = circle_columns(xs, ["-" + x for x in xs], "0") if full else (xs, mirror(xs, "0"))
     tails = [f"{s},{a},{S}" for s, a, S in zip(trace.steps, trace.l1_dists, trace.sign_sums)]
@@ -123,6 +148,7 @@ _POINT_BYTES = {"quadrant": 250, "full": 150}
 
 
 def _cmd_generate(args) -> int:
+    _bind("lattice", "signum")
     r = read_radius(args.radius)
     full = args.extent == "full"
     count = 8 * r if full else 2 * r
@@ -134,6 +160,7 @@ def _cmd_generate(args) -> int:
     if args.format == "csv":
         text = _full_circle_csv(trace) if full else _trace_csv(trace)
     else:
+        _bind("svg")
         points = assemble_full_circle(trace).points if full else PointColumns(trace.xs, trace.ys)
         text = render_path_svg(points, r, full, args.overlay_circle)
     _emit(text, args.out)
@@ -151,6 +178,8 @@ def _read_points_csv(path: str) -> PointColumns:
     line not yet read.  A block is decoded before any of its rows is parsed,
     so an undecodable byte less than one block after a malformed row is
     reported as the codec error, as the decoder's 8 KiB read-ahead does."""
+    from latticircle.lattice import PointColumns
+
     # utf-8-sig drops a leading byte-order mark; text mode turns CRLF into LF
     with open(path, "r", encoding="utf-8-sig") as fh:
         lineno = 1  # the first line not yet read
@@ -193,6 +222,7 @@ def _read_points_csv(path: str) -> PointColumns:
 
 
 def _cmd_validate(args) -> int:
+    _bind("lattice")
     points = _read_points_csv(args.path)
     report = check_path(points, mode=args.mode)
     ok = report.is_closed_valid if args.mode == "closed" else report.is_valid
@@ -212,11 +242,13 @@ def _record_line(rec) -> str:
 
 
 def _cmd_pi(args) -> int:
+    _bind("estimators")
     print(_record_line(estimate(args.radius, args.estimator, args.source, args.cost)))
     return 0
 
 
 def _cmd_sweep(args) -> int:
+    _bind("estimators")
     records = sweep(parse_radii_spec(args.radii), args.estimator, args.source, args.cost)
     lines = ["r,estimator,source,value,target,abs_error", *map(_record_line, records)]
     _emit("\n".join(lines) + "\n", args.out)
@@ -224,6 +256,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_area(args) -> int:
+    _bind("area")
     report = area_report(args.radius, args.cost, with_bounds=args.with_bounds)
     bounds = f"{report.inner},{report.outer}" if args.with_bounds else ","
     print(f"{report.radius},{report.area},{bounds},{format_real(report.ratio)}")

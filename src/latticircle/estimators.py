@@ -9,6 +9,15 @@ samples gives the estimators:
   approaches pi itself,
 * harmonic mean    H = 8 r^2 / sum(a_n), which approaches 16 / (pi + 2).
 
+For the constructed path the harmonic mean counts a shifted lattice in a
+disc, as the area does.  Its distances sum to sum(a_n) = 2|C| + r^2, where
+C is the set of cells under the path, and 4|C| = N(rho), the number of
+points of (Z + 1/2)^2 in the disc of radius^2 rho^2 = r^2 - 1/2 (the
+``area`` module docstring).  Writing N(rho) = pi rho^2 + E(rho) gives
+H = 16 r^2 / ((pi + 2) r^2 + E - pi/2), so H approaches 16 / (pi + 2) with
+error about -16 (E - pi/2) / ((pi + 2)^2 r^2), at the rate of the Gauss
+circle problem.
+
 The angle-sampled sources approach a different constant,
 (4 sqrt(2) / pi) (ln(2 + sqrt(2)) - ln(2 - sqrt(2))) = 3.174060...,
 which equals the continuum average (8 sqrt(2) / pi) atanh(1 / sqrt(2)).
@@ -16,30 +25,18 @@ which equals the continuum average (8 sqrt(2) / pi) atanh(1 / sqrt(2)).
 
 from __future__ import annotations
 
-import enum
 import math
 from itertools import accumulate, chain, repeat
 from operator import truediv
 from typing import TYPE_CHECKING, Collection, NamedTuple, Sequence
 
+from latticircle.choices import CostVariant, DiscretizationSource, Estimator
 from latticircle.lattice import read_radius
-from latticircle.reference import (
-    DiscretizationSource,
-    param_exact_samples,
-    param_floor_samples,
-    param_round_samples,
-)
-from latticircle.signum import CostVariant, L1Distances, generate_quadrant
+from latticircle.reference import param_exact_samples, param_floor_samples, param_round_samples
+from latticircle.signum import L1Distances, generate_quadrant
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-
-class Estimator(enum.Enum):
-    """Which mean of the per-sample ratios is taken."""
-
-    ARITHMETIC = "arithmetic"
-    HARMONIC = "harmonic"
 
 
 class PiSequence(NamedTuple):

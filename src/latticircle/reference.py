@@ -15,20 +15,11 @@ path checker.
 
 from __future__ import annotations
 
-import enum
 import math
 from operator import index
 
+from latticircle.choices import DiscretizationSource
 from latticircle.lattice import Point, read_radius, require_memory
-
-
-class DiscretizationSource(enum.Enum):
-    """Where a circle discretization's sample points come from."""
-
-    SIGNUM = "signum"
-    PARAM_EXACT = "param-exact"
-    PARAM_FLOOR = "param-floor"
-    PARAM_ROUND = "param-round"
 
 
 def phi_n(r: int, n: int) -> float:
@@ -60,12 +51,19 @@ def a_param_round(r: int, n: int) -> int:
     return math.floor(r * math.cos(phi) + 0.5) + math.floor(r * math.sin(phi) + 0.5)
 
 
+# Bytes a sample holds in the sample list, its pointer and its object:
+# tracemalloc read 40.2 per int sample of param-floor and param-round at
+# r = 200 000, and 32.2 per float sample of param-exact, so a param-exact
+# list is refused only when it would take over 80% of physical memory.
+_SAMPLE_BYTES = 40
+
+
 def _sample_count(r: int) -> int:
     """2r, the number of samples of radius r, checked before any sampling:
-    the list of 2r samples needs 16r bytes for its pointers alone, which
-    ``require_memory`` holds against physical memory."""
+    the list of 2r samples needs ``_SAMPLE_BYTES`` per sample, 80r bytes,
+    which ``require_memory`` holds against physical memory."""
     r = read_radius(r)
-    require_memory(f"{2 * r} samples", 16 * r, "of list pointers")
+    require_memory(f"{2 * r} samples", 2 * r * _SAMPLE_BYTES, "for the sample list")
     return 2 * r
 
 

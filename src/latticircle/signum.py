@@ -27,7 +27,6 @@ it.
 
 from __future__ import annotations
 
-import enum
 from array import array
 from functools import cached_property
 from itertools import accumulate, chain
@@ -35,15 +34,8 @@ from math import isqrt
 from operator import eq, neg
 from typing import Iterator, NamedTuple
 
+from latticircle.choices import CostVariant
 from latticircle.lattice import Point, PointColumns, read_radius, require_memory
-
-
-class CostVariant(enum.Enum):
-    """Which step decider drives the recursion."""
-
-    EXACT = "exact"
-    SIMPLIFIED = "simplified"
-    APPROX = "approx"
 
 
 def sgn(v) -> int:

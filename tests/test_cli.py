@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 import os
 import pathlib
 import random
@@ -18,7 +20,7 @@ from latticircle import cli
 from latticircle.cli import format_real, parse_radii_spec, run
 from latticircle.estimators import estimate
 from latticircle.lattice import Point, PointColumns
-from latticircle.reference import midpoint_quadrant
+from latticircle.reference import midpoint_quadrant, param_exact_samples, param_floor_samples
 from latticircle.signum import CostVariant, assemble_full_circle, generate_quadrant
 from latticircle.svg import render_path_svg
 
@@ -543,15 +545,116 @@ def test_one_parser_serves_every_run(capsys):
     assert cli._build_parser() is cli._build_parser()
 
 
+# Each command imports only the modules it runs, counted in a fresh interpreter.
+
+CLI_MODULES = {"latticircle", "latticircle.cli", "latticircle.choices"}
+
+
 def test_cli_import_loads_no_exact_arithmetic_or_code_generation():
-    # only the modules the import adds count, whatever the host's site preloads
+    # only the modules the import adds count, whatever the host's site preloads;
+    # of the package it adds the selectors and nothing a command runs
     code = (
         "import sys; before = set(sys.modules); import latticircle.cli; "
         "added = set(sys.modules) - before; "
-        "print(sorted({'fractions', 'decimal', 'dataclasses', 'inspect'} & added))"
+        "print(sorted({'fractions', 'decimal', 'dataclasses', 'inspect'} & added)); "
+        "print(sorted(name for name in added if name.startswith('latticircle')))"
     )
     done = run_module(code=code)
-    assert (done.returncode, done.stdout) == (0, b"[]\n")
+    assert (done.returncode, done.stdout.decode().splitlines()) == (
+        0, ["[]", str(sorted(CLI_MODULES))])
+
+
+def modules_loaded_by(*argv):
+    """The package's modules that ``run(argv)`` adds to a fresh interpreter."""
+    code = (
+        "import contextlib, io, json, sys; before = set(sys.modules)\n"
+        "from latticircle.cli import run\n"
+        f"with contextlib.redirect_stdout(io.StringIO()): code = run({list(argv)!r})\n"
+        "added = [name for name in set(sys.modules) - before if name.startswith('latticircle')]\n"
+        "print(json.dumps([code, added]))"
+    )
+    done = run_module(code=code)
+    assert done.returncode == 0, done.stderr
+    code, added = json.loads(done.stdout)
+    assert code == 0
+    return set(added)
+
+
+@pytest.mark.parametrize("command", [[], ["generate"], ["validate"], ["pi"], ["sweep"], ["area"]])
+def test_help_loads_only_the_cli_and_the_selectors(command):
+    assert modules_loaded_by(*command, "--help") == CLI_MODULES
+
+
+def test_validate_loads_only_the_path_check(tmp_path):
+    path = tmp_path / "square.csv"
+    path.write_text("x,y\n0,0\n1,0\n1,1\n0,1\n")
+    assert modules_loaded_by("validate", str(path), "--mode", "closed") == CLI_MODULES | {
+        "latticircle.lattice"}
+
+
+def test_each_command_leaves_out_the_modules_it_does_not_run(tmp_path):
+    svg = str(tmp_path / "c.svg")
+    assert modules_loaded_by("generate", "--radius", "3") == CLI_MODULES | {
+        "latticircle.lattice", "latticircle.signum"}
+    assert "latticircle.svg" in modules_loaded_by("generate", "--radius", "3", "--format", "svg",
+                                                  "--out", svg)
+    assert not {"latticircle.estimators", "latticircle.reference", "latticircle.svg"} & (
+        modules_loaded_by("area", "--radius", "9", "--with-bounds"))
+    for argv in (["pi", "--radius", "9"], ["sweep", "--radii", "5,9", "--source", "param-floor"]):
+        assert not {"latticircle.area", "latticircle.svg"} & modules_loaded_by(*argv)
+
+
+def test_every_traced_cli_name_resolves_before_any_command():
+    # perfbench/traced.py wraps these names with getattr before the command runs
+    from test_perfbench_bindings import load_traced
+
+    traced = load_traced()
+    names = sorted({attr for module, attr, _ in traced.BINDINGS if module is traced.cli})
+    code = (
+        "import latticircle.cli as cli\n"
+        f"names = {names!r}\n"
+        "unbound = [n for n in names if n not in vars(cli)]\n"
+        "print(all(callable(getattr(cli, n)) for n in names), unbound)"
+    )
+    done = run_module(code=code)
+    assert done.returncode == 0, done.stderr
+    lazy = [name for names in cli._NAMES.values() for name in names]
+    assert done.stdout.decode() == f"True {sorted(set(names) & set(lazy))!r}\n"
+    assert {"generate_quadrant", "check_path", "render_path_svg", "sweep"} <= set(lazy)
+
+
+def test_a_wrapper_set_before_run_is_the_function_the_command_calls(tmp_path):
+    # set on `cli` before the command binds its modules, as the tracer does
+    path = tmp_path / "square.csv"
+    path.write_text("x,y\n0,0\n1,0\n1,1\n0,1\n")
+    commands = {
+        "generate_quadrant": ("signum", ["generate", "--radius", "3"]),
+        "render_path_svg": ("svg", ["generate", "--radius", "3", "--format", "svg"]),
+        "check_path": ("lattice", ["validate", str(path)]),
+        "estimate": ("estimators", ["pi", "--radius", "3"]),
+        "sweep": ("estimators", ["sweep", "--radii", "3,4"]),
+        "area_report": ("area", ["area", "--radius", "3"]),
+    }
+    code = (
+        "import contextlib, importlib, io\n"
+        "import latticircle.cli as cli\n"
+        "called = []\n"
+        f"for name, (module, argv) in {commands!r}.items():\n"
+        "    calls = []\n"
+        "    real = getattr(importlib.import_module('latticircle.' + module), name)\n"
+        "    def wrapper(*args, real=real, calls=calls, **kwargs):\n"
+        "        calls.append(args)\n"
+        "        return real(*args, **kwargs)\n"
+        "    setattr(cli, name, wrapper)\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.run(argv) == 0\n"
+        "    if calls and getattr(cli, name) is wrapper:\n"
+        "        called.append(name)\n"
+        "print(called)"
+    )
+    done = run_module(code=code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.decode() == f"{list(commands)!r}\n"
 
 
 # Every error path of `run`, pinned by exit code and stderr.
@@ -571,6 +674,29 @@ def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
     assert run(["generate", "--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: latticircle")
+
+
+# sha256 of `--help` on stdout at 80 columns, as the parser printed it when the
+# selectors were defined beside the code they select; argparse's layout
+# differs between Python versions, and these were taken on 3.11
+HELP_SHA256 = {
+    "": "a8f6809d3a834a5c169b3aa41e36292f6337a5ac354041f8d028b448ce2e20c7",
+    "generate": "2cbf4e6019712fc2a9d980781cbe044b8d5b942e88a9093517b4ce0654a7291b",
+    "validate": "c6363d105b8982353d2bb898e1c9231adc4e51d915f5a27f715f433bd17b8ad1",
+    "pi": "e9fd1e2bb737412b04be5e4218b24fb86f5a2d26e93cfe439b0d0d63ea737571",
+    "sweep": "d85f96d26373e13df732a38f9b67f1905f40bf55118e626453acd1715167c6a3",
+    "area": "0a8d80fed52fb66f07cdee7d001d7b973816d476f424949463f346452f3a1c8f",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="digests taken on Python 3.11")
+@pytest.mark.parametrize("command", list(HELP_SHA256))
+def test_help_text_is_pinned(command):
+    argv = [sys.executable, "-m", "latticircle", *filter(None, [command]), "--help"]
+    done = subprocess.run(argv, capture_output=True, env={**module_env(), "COLUMNS": "80"},
+                          timeout=60)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert hashlib.sha256(done.stdout).hexdigest() == HELP_SHA256[command]
 
 
 def test_missing_paths_are_input_errors(tmp_path, capsys):
@@ -785,7 +911,7 @@ def test_radius_past_physical_memory_fails_before_sampling(source):
     r = 10**15
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     want = (
-        f"arithmetic failure: {2 * r} samples need {16 * r} bytes of list pointers,"
+        f"arithmetic failure: {2 * r} samples need {80 * r} bytes for the sample list,"
         f" more than the {memory} bytes of physical memory\n"
     )
     for argv in (
@@ -794,3 +920,37 @@ def test_radius_past_physical_memory_fails_before_sampling(source):
     ):
         done = run_module(*argv, preexec_fn=cap_address_space_at_1_gib)
         assert (done.returncode, done.stdout, done.stderr.decode()) == (3, b"", want)
+
+
+@pytest.mark.parametrize("source", ["param-exact", "param-floor", "param-round"])
+def test_sample_list_need_counts_the_samples_not_only_their_pointers(
+    source, monkeypatch, capsys
+):
+    # 4 096 000 bytes of physical memory hold the 16r bytes of list pointers
+    # at r = 10^5 but not the samples they point to, about 40 bytes each
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 1000, "SC_PAGE_SIZE": 4096}.get)
+    assert run(["pi", "--radius", str(10**5), "--source", source]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "arithmetic failure: 200000 samples need 8000000 bytes for the sample list,"
+        " more than the 4096000 bytes of physical memory\n",
+    )
+    assert run(["pi", "--radius", str(5 * 10**4), "--source", source]) == 0
+    assert capsys.readouterr().out.startswith(f"50000,arithmetic,{source},")
+
+
+@pytest.mark.parametrize("source", [param_exact_samples, param_floor_samples])
+def test_sample_list_need_is_near_what_the_list_holds(source):
+    # the stated 40 B a sample against 32 B held per float sample and 40 B per
+    # int sample on Python 3.11 (a little less when freed floats are reused);
+    # the 16r bytes of pointers were half of either
+    r = 50_000
+    source(5)
+    tracemalloc.start()
+    try:
+        samples = source(r)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(samples) == 2 * r
+    assert 30 <= held / (2 * r) <= 48

@@ -7,7 +7,7 @@ from operator import truediv
 
 import pytest
 
-from conftest import cached_trace
+from conftest import cached_trace, cell_centres_in_disc
 from latticircle import estimators
 from latticircle.area import area_recursive
 from latticircle.estimators import (
@@ -59,6 +59,16 @@ def assert_view_streams_the_trace(r, trace):
     harmonic = 8 * r * r / math.fsum(l1_dists)
     assert repr(arithmetic_mean_pi(seq)) == repr(arithmetic), r
     assert repr(harmonic_mean_pi(seq)) == repr(harmonic), r
+
+
+def test_harmonic_mean_counts_the_shifted_lattice_points_in_a_disc():
+    # sum(a_n) = 2|C| + r^2 with 4|C| = N(rho), so the harmonic mean is
+    # 8r^2 / (N(rho) / 2 + r^2) with the brute-force count of N(rho)
+    for r in (*range(1, 61), 200, 1001):
+        n_rho = 4 * cell_centres_in_disc(r)
+        seq = pi_sequence(r, SIGNUM)
+        assert sum(seq.l1_values) == n_rho // 2 + r * r, r
+        assert harmonic_mean_pi_exact(seq) == Fraction(16 * r * r, n_rho + 2 * r * r), r
 
 
 VIEW_RADII = sorted({*range(1, 513), *(2**k + d for k in range(10, 18) for d in (-1, 1))})

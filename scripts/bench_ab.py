@@ -2,29 +2,38 @@
 
     python3 scripts/bench_ab.py --pr N [--base REV] [--pairs 10] [--seconds S]
         [--workload W ...] [--claim WORKLOAD:METRIC ...] [--scale {full,smoke}]
-        [--seed S] [--out PATH]
+        [--out PATH]
 
 The parent is REV (default HEAD, so that uncommitted changes are measured
 against the last commit), checked out in a temporary ``git worktree`` that
 is removed at the end.  Each side runs its own ``perfbench/run.py --trace 0``
-against its own ``src``.  For each workload, pair i runs both sides with
-seed S + i, one after the other, and the side that runs first alternates
-from pair to pair, so that a drifting host favours neither.  S defaults
-to 1 and the run length to ``run_seconds`` of BENCHMARK.json.
+against its own ``src``.  For each workload, pair i (from 0) runs both
+sides with seed 1 + i, one after the other, and the side that runs first
+alternates from pair to pair, so that a drifting host favours neither.
+The run length defaults to ``run_seconds`` of BENCHMARK.json.
 
 The file names both commits, with the sha256 of each side's
 ``src/latticircle`` as its runs report it, and whether the change side had
-uncommitted edits.  For every end-to-end metric of BENCHMARK.json the file holds each side's
-median and quartiles, the values in pair order and the change's wins; ties
-count for neither side.  A claimed metric is met when the change wins at
-least nine tenths of the pairs and the medians differ, in the better
-direction, by more than the parent's quartile spread.  Any other metric is
-"worse beyond bound" when the change's median is worse than the parent's by
-more than the metric's relative bound, "unresolved" when the parent's own
-quartile spread is wider than the bound and not every change run beats
-every parent run, and otherwise "within bound".  The file is written to
-the repository root unless --out names another path, and the last line
-printed is a summary for CHANGES.md.
+uncommitted edits.  For every end-to-end metric of BENCHMARK.json the file
+holds each side's median and quartiles over the pairs in which both sides
+finished, the values in pair order and the change's wins; ties count for
+neither side.  A claimed metric is met when the change wins at least nine
+tenths of the pairs run, finished or not, the medians differ, in the
+better direction, by more than the parent's quartile spread, and the
+change left no more runs unfinished and failed no larger share of its
+operations than the parent.  Any other metric is "worse beyond bound"
+when the change's median is worse than the parent's by more than the
+metric's relative bound, "unresolved" when the parent's own quartile
+spread is wider than the bound and not every change run beats every
+parent run, and otherwise "within bound".
+
+The file's verdict is, in this order: "more failures" when on some
+workload the change left more runs unfinished or failed a larger share of
+its operations; "worse beyond bound" or "unresolved" when some metric is;
+"no claim" when nothing was claimed; "claim met" when every claim is met
+and otherwise "claim not met".  The file is written to the repository
+root unless --out names another path, and the last line printed is a
+summary for CHANGES.md.
 """
 
 from __future__ import annotations
@@ -73,15 +82,20 @@ def summarize(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "values": values}
 
 
-def judge(parent: list[float], change: list[float], spec: dict, claimed: bool) -> dict:
-    """Both sides' statistics, the change's wins and the verdict on one metric."""
+def judge(parent: list[float], change: list[float], spec: dict, claimed: bool,
+          runs: int | None = None) -> dict:
+    """Both sides' statistics, the change's wins and the verdict on one
+    metric.  ``runs`` is the number of pairs run, of which ``parent`` and
+    ``change`` hold the finished ones; a claim needs its wins out of all
+    of them (default: every pair finished)."""
+    runs = len(parent) if runs is None else runs
     sign = 1 if spec["better"] == "higher" else -1  # sign * (c - p) > 0: the change is better
     p, c = summarize(parent), summarize(change)
     wins = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
     gain = sign * (c["median"] - p["median"])
     spread = p["q3"] - p["q1"]
     if claimed:
-        met = wins >= CLAIM_SHARE * len(parent) and gain > spread
+        met = wins >= CLAIM_SHARE * runs and gain > spread
         verdict = "claim met" if met else "claim not met"
     elif -gain > spec["bound"] * abs(p["median"]):
         verdict = "worse beyond bound"
@@ -92,21 +106,19 @@ def judge(parent: list[float], change: list[float], spec: dict, claimed: bool) -
     else:
         verdict = "within bound"
     return {"unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
-            "parent": p, "change": c, "pairs": len(parent), "wins": wins, "verdict": verdict}
+            "parent": p, "change": c, "pairs": runs, "compared": len(parent), "wins": wins,
+            "verdict": verdict}
+
+
+def failed_share(side: dict) -> float:
+    return side["failed"] / side["attempted"] if side["attempted"] else 0.0
 
 
 def compare(runs: list[tuple[dict, dict]], specs: list[dict], claims: set[str]) -> dict:
     """One workload's table from its (parent, change) run pairs.  Metrics
-    are compared over the pairs in which both sides finished."""
-    done = [(p, c) for p, c in runs if p["complete"] and c["complete"]]
-    metrics = {}
-    for spec in specs:
-        name = spec["name"]
-        pairs = [(p["metrics"][name], c["metrics"][name]) for p, c in done
-                 if name in p["metrics"] and name in c["metrics"]]
-        if pairs:
-            parent, change = map(list, zip(*pairs))
-            metrics[name] = judge(parent, change, spec, name in claims)
+    are compared over the pairs in which both sides finished; no claim is
+    met when the change left more runs unfinished or failed a larger share
+    of its operations than the parent."""
     sides = {}
     for side, i in (("parent", 0), ("change", 1)):
         sides[side] = {
@@ -115,7 +127,37 @@ def compare(runs: list[tuple[dict, dict]], specs: list[dict], claims: set[str]) 
             "attempted": sum(pair[i]["attempted"] for pair in runs),
             "failed": sum(pair[i]["failed"] for pair in runs),
         }
-    return {"operations": sides, "metrics": metrics}
+    parent_ops, change_ops = sides["parent"], sides["change"]
+    more_failures = (change_ops["incomplete"] > parent_ops["incomplete"]
+                     or failed_share(change_ops) > failed_share(parent_ops))
+    done = [(p, c) for p, c in runs if p["complete"] and c["complete"]]
+    metrics = {}
+    for spec in specs:
+        name = spec["name"]
+        pairs = [(p["metrics"][name], c["metrics"][name]) for p, c in done
+                 if name in p["metrics"] and name in c["metrics"]]
+        if pairs:
+            parent, change = map(list, zip(*pairs))
+            metrics[name] = judge(parent, change, spec, name in claims, len(runs))
+            if more_failures and name in claims:
+                metrics[name]["verdict"] = "claim not met"
+    return {"operations": {**sides, "more_failures": more_failures}, "metrics": metrics}
+
+
+def overall(results: dict, claims: dict[str, set[str]]) -> str:
+    """The file's verdict from every workload's table."""
+    verdicts = {m["verdict"] for entry in results.values() for m in entry["metrics"].values()}
+    missing = [c for w, names in claims.items() for c in names - results[w]["metrics"].keys()]
+    if any(entry["operations"]["more_failures"] for entry in results.values()):
+        return "more failures"
+    for verdict in ("worse beyond bound", "unresolved"):
+        if verdict in verdicts:
+            return verdict
+    if not claims:
+        return "no claim"
+    if "claim not met" in verdicts or missing:
+        return "claim not met"
+    return "claim met"
 
 
 def summary_line(name: str, table: dict) -> str:
@@ -151,7 +193,6 @@ def main() -> int:
     ap.add_argument("--claim", action="append", default=[], metavar="WORKLOAD:METRIC",
                     help="a claimed gain, repeatable")
     ap.add_argument("--scale", choices=("full", "smoke"), default="full")
-    ap.add_argument("--seed", type=int, default=1, help="the first pair's seed")
     ap.add_argument("--out", type=Path, help="output path (default BENCH_<pr>.json at the root)")
     args = ap.parse_args()
     chosen = args.workload or workloads
@@ -177,7 +218,7 @@ def main() -> int:
             for workload in chosen:
                 runs = []
                 for i in range(args.pairs):
-                    seed = args.seed + i
+                    seed = 1 + i
                     order = (("parent", base), ("change", ROOT))
                     if i % 2:
                         order = order[::-1]
@@ -191,14 +232,6 @@ def main() -> int:
         finally:
             git("worktree", "remove", "--force", str(base))
 
-    verdicts = [m["verdict"] for entry in results.values() for m in entry["metrics"].values()]
-    missing = [c for w, names in claims.items() for c in names - results[w]["metrics"].keys()]
-    if not claims:
-        verdict = "no claim"
-    elif "claim not met" in verdicts or missing:
-        verdict = "claim not met"
-    else:
-        verdict = "claim met"
     table = {
         "pr": args.pr,
         "base": {"rev": args.base, "commit": base_commit, **seen["parent"]},
@@ -206,9 +239,9 @@ def main() -> int:
         "pairs": args.pairs,
         "seconds": args.seconds,
         "scale": args.scale,
-        "seeds": [args.seed, args.seed + args.pairs - 1],
+        "seeds": [1, args.pairs],
         "claims": sorted(f"{w}:{m}" for w, names in claims.items() for m in names),
-        "verdict": verdict,
+        "verdict": overall(results, claims),
         "workloads": results,
     }
     out.write_text(json.dumps(table, indent=1) + "\n")

@@ -109,7 +109,7 @@ def test_bench_ab_bounds_the_other_metrics():
     assert judge(wide, [0.4] * 6, SETUP, claimed=False)["verdict"] == "within bound"
 
 
-def run(value, complete=True, failed=0):
+def side_run(value, complete=True, failed=0):
     """One side's run as ``bench_ab.run_side`` returns it."""
     metrics = {"setup_s": value} if complete else {}
     return {"metrics": metrics, "attempted": 22 * complete, "failed": failed,
@@ -118,8 +118,8 @@ def run(value, complete=True, failed=0):
 
 def test_bench_ab_compares_only_pairs_whose_runs_finished():
     compare = load_bench_ab().compare
-    runs = [(run(0.09), run(0.07)), (run(0.09, complete=False), run(0.07)),
-            (run(0.08), run(0.07, failed=1))]
+    runs = [(side_run(0.09), side_run(0.07)), (side_run(0.09, complete=False), side_run(0.07)),
+            (side_run(0.08), side_run(0.07, failed=1))]
     table = compare(runs, [SETUP, RATE], {"setup_s"})
     assert list(table["metrics"]) == ["setup_s"]
     assert (table["metrics"]["setup_s"]["pairs"], table["metrics"]["setup_s"]["compared"]) == (
@@ -130,22 +130,22 @@ def test_bench_ab_compares_only_pairs_whose_runs_finished():
         "more_failures": True,
     }
     # every pair finished and won, no operation failed: the claim is met
-    clean = [(run(0.09 + i / 1000), run(0.07)) for i in range(10)]
+    clean = [(side_run(0.09 + i / 1000), side_run(0.07)) for i in range(10)]
     table = compare(clean, [SETUP], {"setup_s"})
     assert (table["metrics"]["setup_s"]["verdict"], table["operations"]["more_failures"]) == (
         "claim met", False)
     # the change crashed in 3 of 10 pairs and won the other 7
-    crashed = clean[:7] + [(run(0.09), run(0.0, complete=False))] * 3
+    crashed = clean[:7] + [(side_run(0.09), side_run(0.0, complete=False))] * 3
     table = compare(crashed, [SETUP], {"setup_s"})
     assert (table["metrics"]["setup_s"]["wins"], table["metrics"]["setup_s"]["pairs"]) == (7, 10)
     assert table["metrics"]["setup_s"]["verdict"] == "claim not met"
     # the parent crashed in 2 of 10: 8 wins are still short of nine tenths of the pairs run
-    short = clean[:8] + [(run(0.0, complete=False), run(0.07))] * 2
+    short = clean[:8] + [(side_run(0.0, complete=False), side_run(0.07))] * 2
     table = compare(short, [SETUP], {"setup_s"})
     assert not table["operations"]["more_failures"]
     assert table["metrics"]["setup_s"]["verdict"] == "claim not met"
     # every pair won, but one operation of the change failed
-    failing = clean[:9] + [(run(0.09), run(0.07, failed=1))]
+    failing = clean[:9] + [(side_run(0.09), side_run(0.07, failed=1))]
     table = compare(failing, [SETUP], {"setup_s"})
     assert table["operations"]["more_failures"]
     assert table["metrics"]["setup_s"]["verdict"] == "claim not met"
@@ -153,16 +153,16 @@ def test_bench_ab_compares_only_pairs_whose_runs_finished():
 
 def test_bench_ab_file_verdict_needs_every_metric_within_bound():
     bench_ab = load_bench_ab()
-    clean = [(run(0.09 + i / 1000), run(0.07)) for i in range(10)]
+    clean = [(side_run(0.09 + i / 1000), side_run(0.07)) for i in range(10)]
     met = bench_ab.compare(clean, [SETUP], {"setup_s"})
     claims = {"reduce": {"setup_s"}}
     assert bench_ab.overall({"reduce": met}, claims) == "claim met"
     assert bench_ab.overall({"reduce": met}, {}) == "no claim"
     assert bench_ab.overall({"reduce": met}, {"reduce": {"wall_s"}}) == "claim not met"
-    slower = bench_ab.compare([(run(0.07), run(0.09))] * 4, [SETUP], set())
+    slower = bench_ab.compare([(side_run(0.07), side_run(0.09))] * 4, [SETUP], set())
     assert slower["metrics"]["setup_s"]["verdict"] == "worse beyond bound"
     assert bench_ab.overall({"reduce": met, "sweep": slower}, claims) == "worse beyond bound"
-    failing = bench_ab.compare([(run(0.07), run(0.07, failed=1))] * 4, [SETUP], set())
+    failing = bench_ab.compare([(side_run(0.07), side_run(0.07, failed=1))] * 4, [SETUP], set())
     assert bench_ab.overall({"reduce": met, "sweep": failing}, claims) == "more failures"
 
 

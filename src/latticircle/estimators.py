@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING, Collection, NamedTuple, Sequence
 
 from latticircle.choices import CostVariant, DiscretizationSource, Estimator
 from latticircle.lattice import read_radius
-from latticircle.reference import param_exact_samples, param_floor_samples, param_round_samples
 from latticircle.signum import L1Distances, generate_quadrant
 
 if TYPE_CHECKING:
@@ -53,10 +52,13 @@ class PiSequence(NamedTuple):
     l1_values: Collection
 
 
+# The sampler of each angle-sampled source, by its name in ``reference``,
+# which is imported only when such a source runs: a signum `pi` or `sweep`
+# child then never compiles it.
 _PARAM_SAMPLERS = {
-    DiscretizationSource.PARAM_EXACT: param_exact_samples,
-    DiscretizationSource.PARAM_FLOOR: param_floor_samples,
-    DiscretizationSource.PARAM_ROUND: param_round_samples,
+    DiscretizationSource.PARAM_EXACT: "param_exact_samples",
+    DiscretizationSource.PARAM_FLOOR: "param_floor_samples",
+    DiscretizationSource.PARAM_ROUND: "param_round_samples",
 }
 
 
@@ -79,7 +81,9 @@ def pi_sequence(
     if source is DiscretizationSource.SIGNUM:
         l1s: Collection = L1Distances(radius, generate_quadrant(radius, variant).steps)
     else:
-        l1s = _PARAM_SAMPLERS[source](radius)
+        from latticircle import reference
+
+        l1s = getattr(reference, _PARAM_SAMPLERS[source])(radius)
         low = min(l1s)
         if low <= 0:
             raise ValueError(f"nonpositive Manhattan distance {low} at radius {radius}")

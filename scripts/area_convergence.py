@@ -1,6 +1,10 @@
 """Tabulate quarter-disc areas with their staircase bounds over growing radii.
 
 The printed ratio column is 4*area/r^2, which should drift toward pi.
+The last column is the lattice-point error scaled by its conjectured size:
+4*area counts the points of (Z + 1/2)^2 in the disc of radius
+rho = sqrt(r^2 - 1/2), N(rho) = pi rho^2 + E(rho), and the column is
+E/sqrt(rho) with E = 4*area - pi (r^2 - 1/2), in float arithmetic.
 """
 
 import argparse
@@ -24,20 +28,29 @@ def main() -> None:
         ap.error(str(e))
 
     rows = []
-    print(f"{'r':>6} {'area':>12} {'inner':>12} {'outer':>12} {'ratio':>10} {'|ratio-pi|':>12}")
+    print(
+        f"{'r':>6} {'area':>12} {'inner':>12} {'outer':>12} {'ratio':>10} {'|ratio-pi|':>12}"
+        f" {'E/sqrt(rho)':>12}"
+    )
     for r in radii:
         rep = area_report(r)
         err = abs(rep.ratio - math.pi)
-        rows.append((r, rep.area, rep.inner, rep.outer, rep.ratio, err))
-        print(f"{r:>6} {rep.area:>12} {rep.inner:>12} {rep.outer:>12} {rep.ratio:>10.6f} {err:>12.3e}")
+        rho_sq = r * r - 0.5
+        scaled = (4 * rep.area - math.pi * rho_sq) / math.sqrt(rho_sq)
+        rows.append((r, rep.area, rep.inner, rep.outer, rep.ratio, err, scaled))
+        print(
+            f"{r:>6} {rep.area:>12} {rep.inner:>12} {rep.outer:>12} {rep.ratio:>10.6f}"
+            f" {err:>12.3e} {scaled:>12.4f}"
+        )
 
     if args.out:
         path = pathlib.Path(args.out)
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("r,area,inner,outer,ratio,abs_error\n")
-            for r, area, inner, outer, ratio, err in rows:
-                fh.write(f"{r},{area},{inner},{outer},{format_real(ratio)},{format_real(err)}\n")
+            fh.write("r,area,inner,outer,ratio,abs_error,E/sqrt(rho)\n")
+            for r, area, inner, outer, ratio, err, scaled in rows:
+                reals = ",".join(map(format_real, (ratio, err, scaled)))
+                fh.write(f"{r},{area},{inner},{outer},{reals}\n")
         print(f"wrote {path}")
 
 

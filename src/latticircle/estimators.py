@@ -52,7 +52,7 @@ class PiSequence(NamedTuple):
     l1_values: Collection
 
 
-# The sampler of each angle-sampled source, by its name in ``reference``,
+# The sampler of each angle-sampled source, by its name in `reference`,
 # which is imported only when such a source runs: a signum `pi` or `sweep`
 # child then never compiles it.
 _PARAM_SAMPLERS = {

@@ -600,8 +600,13 @@ def test_each_command_leaves_out_the_modules_it_does_not_run(tmp_path):
                                                   "--out", svg)
     assert not {"latticircle.estimators", "latticircle.reference", "latticircle.svg"} & (
         modules_loaded_by("area", "--radius", "9", "--with-bounds"))
-    for argv in (["pi", "--radius", "9"], ["sweep", "--radii", "5,9", "--source", "param-floor"]):
-        assert not {"latticircle.area", "latticircle.svg"} & modules_loaded_by(*argv)
+    signum_pi = modules_loaded_by("pi", "--radius", "9")
+    param_sweep = modules_loaded_by("sweep", "--radii", "5,9", "--source", "param-floor")
+    for loaded in (signum_pi, param_sweep):
+        assert not {"latticircle.area", "latticircle.svg"} & loaded
+    # only an angle-sampled source runs the samplers of `reference`
+    assert "latticircle.reference" not in signum_pi
+    assert "latticircle.reference" in param_sweep
 
 
 def test_every_traced_cli_name_resolves_before_any_command():
@@ -866,8 +871,57 @@ def collector(request):
 @pytest.mark.parametrize("outcome", RUN_OUTCOMES)
 def test_run_leaves_the_collector_as_it_found_it(outcome, collector, capsys):
     argv, code = RUN_OUTCOMES[outcome]
+    frozen = gc.get_freeze_count()
     assert run(argv) == code
     assert gc.isenabled() is collector
+    # callers run commands many times in one process: only main freezes
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("outcome", [*RUN_OUTCOMES, "invalid path"])
+def test_main_freezes_the_heap_once_after_run_and_exits_with_its_code(
+    outcome, monkeypatch, capsys, tmp_path
+):
+    if outcome == "invalid path":
+        path = tmp_path / "gap.csv"
+        path.write_text("x,y\n0,0\n2,0\n")
+        argv, code = ["validate", str(path), "--mode", "closed"], 2
+    else:
+        argv, code = RUN_OUTCOMES[outcome]
+    assert run(argv) == code
+    want = capsys.readouterr()
+    events = []
+
+    def spy():
+        events.append("run")
+        return run()
+
+    monkeypatch.setattr(cli, "run", spy)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(sys, "argv", ["latticircle", *argv])
+    with pytest.raises(SystemExit) as exited:
+        cli.main()
+    assert (events, exited.value.code) == (["run", "freeze"], code)
+    assert capsys.readouterr() == want
+
+
+def test_the_console_script_writes_every_byte_before_it_exits(tmp_path, capsys):
+    # main freezes the heap and exits: stdout, buffered as it is unless
+    # PYTHONUNBUFFERED is set, must still hold every byte that run writes
+    argv = ["generate", "--radius", "25000", "--extent", "full"]
+    assert run(argv) == 0
+    want = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    env = module_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    command = [sys.executable, "-m", "latticircle", *argv]
+    piped = subprocess.run(command, capture_output=True, env=env, timeout=60)
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert hashlib.sha256(piped.stdout).hexdigest() == want
+    out = tmp_path / "c.csv"
+    written = subprocess.run([*command, "--out", str(out)], capture_output=True, env=env,
+                             timeout=60)
+    assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
 
 
 def test_commands_run_with_the_collector_paused(monkeypatch, collector, capsys):

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 import pathlib
 import shutil
@@ -13,6 +14,7 @@ import pytest
 
 import latticircle
 from latticircle.cli import parse_radii_spec, run
+from test_area import half_integer_points_in_disc
 
 SCRIPTS = pathlib.Path(__file__).parents[1] / "scripts"
 
@@ -48,13 +50,29 @@ def test_area_convergence_writes_one_row_per_radius(tmp_path, capsys):
     out = tmp_path / "area.csv"
     script("area_convergence.py", "--max-radius", "50", "--samples", "4", "--out", str(out))
     header, *rows = out.read_text().splitlines()
-    assert header == "r,area,inner,outer,ratio,abs_error"
+    assert header == "r,area,inner,outer,ratio,abs_error,E/sqrt(rho)"
     radii = parse_radii_spec("log:1:50:4")
     assert len(rows) == len(radii)
     for r, row in zip(radii, rows):
         # the first five cells are what `latticircle area --with-bounds` prints
         assert run(["area", "--radius", str(r), "--with-bounds"]) == 0
         assert row.split(",")[:5] == capsys.readouterr().out.rstrip("\n").split(",")
+
+
+def test_area_convergence_scales_the_half_lattice_count_error(tmp_path):
+    # E = N(rho) - pi rho^2 with rho^2 = r^2 - 1/2, N(rho) counted point by point
+    out = tmp_path / "area.csv"
+    printed = script("area_convergence.py", "--max-radius", "60", "--samples", "6",
+                     "--out", str(out))
+    _, *rows = out.read_text().splitlines()
+    radii = parse_radii_spec("log:1:60:6")
+    assert [int(row.split(",")[0]) for row in rows] == radii
+    assert "E/sqrt(rho)" in printed.splitlines()[0]
+    for r, row, line in zip(radii, rows, printed.splitlines()[1:]):
+        rho_sq = r * r - 0.5
+        want = (half_integer_points_in_disc(r) - math.pi * rho_sq) / math.sqrt(rho_sq)
+        assert float(row.split(",")[-1]) == pytest.approx(want, rel=1e-11, abs=1e-11), r
+        assert float(line.split()[-1]) == pytest.approx(want, abs=5e-5), r
 
 
 def test_render_gallery_writes_eight_svgs(tmp_path):

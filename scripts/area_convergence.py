@@ -35,8 +35,8 @@ def main() -> None:
     for r in radii:
         rep = area_report(r)
         err = abs(rep.ratio - math.pi)
-        rho_sq = r * r - 0.5
-        scaled = (4 * rep.area - math.pi * rho_sq) / math.sqrt(rho_sq)
+        rho = math.sqrt(r * r - 0.5)
+        scaled = (4 * rep.area - math.pi * rho * rho) / math.sqrt(rho)
         rows.append((r, rep.area, rep.inner, rep.outer, rep.ratio, err, scaled))
         print(
             f"{r:>6} {rep.area:>12} {rep.inner:>12} {rep.outer:>12} {rep.ratio:>10.6f}"

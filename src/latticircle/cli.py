@@ -374,13 +374,11 @@ def main() -> None:
     """The console script: ``run`` the command line, then exit with its code.
 
     The heap is frozen before exit, so the interpreter's collections at
-    shutdown skip the objects that die with the process, about 12 000 left
-    by ``site``, argparse and the library, instead of walking them and
-    breaking their cycles one at a time.  On a 2-core host, in medians of
-    21 interleaved spawns, shutdown took 2.4 ms instead of 8.6 for
-    ``--help`` and 2.8 ms instead of 10.1 for ``pi --radius 150000``.
-    Flushing stdout and stderr, the atexit handlers and the exit code are
-    unchanged."""
+    shutdown skip the objects that die with the process, left by ``site``,
+    argparse and the library, instead of walking them and breaking their
+    cycles one at a time; ROADMAP's lifecycle table has the measured
+    shutdown per child.  Flushing stdout and stderr, the atexit handlers
+    and the exit code are unchanged.  ``run`` never freezes."""
     code = run()
     gc.freeze()
     sys.exit(code)

@@ -52,16 +52,6 @@ class PiSequence(NamedTuple):
     l1_values: Collection
 
 
-# The sampler of each angle-sampled source, by its name in `reference`,
-# which is imported only when such a source runs: a signum `pi` or `sweep`
-# child then never compiles it.
-_PARAM_SAMPLERS = {
-    DiscretizationSource.PARAM_EXACT: "param_exact_samples",
-    DiscretizationSource.PARAM_FLOOR: "param_floor_samples",
-    DiscretizationSource.PARAM_ROUND: "param_round_samples",
-}
-
-
 def pi_sequence(
     radius: int,
     source: DiscretizationSource | str,
@@ -81,9 +71,15 @@ def pi_sequence(
     if source is DiscretizationSource.SIGNUM:
         l1s: Collection = L1Distances(radius, generate_quadrant(radius, variant).steps)
     else:
+        # imported here, so a signum `pi` or `sweep` child never compiles it
         from latticircle import reference
 
-        l1s = getattr(reference, _PARAM_SAMPLERS[source])(radius)
+        sampler = {
+            DiscretizationSource.PARAM_EXACT: reference.param_exact_samples,
+            DiscretizationSource.PARAM_FLOOR: reference.param_floor_samples,
+            DiscretizationSource.PARAM_ROUND: reference.param_round_samples,
+        }[source]
+        l1s = sampler(radius)
         low = min(l1s)
         if low <= 0:
             raise ValueError(f"nonpositive Manhattan distance {low} at radius {radius}")

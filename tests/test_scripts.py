@@ -60,7 +60,8 @@ def test_area_convergence_writes_one_row_per_radius(tmp_path, capsys):
 
 
 def test_area_convergence_scales_the_half_lattice_count_error(tmp_path):
-    # E = N(rho) - pi rho^2 with rho^2 = r^2 - 1/2, N(rho) counted point by point
+    # E = N(rho) - pi rho^2 with rho^2 = r^2 - 1/2, N(rho) counted point by point;
+    # the column divides E by sqrt(rho) = (r^2 - 1/2)^(1/4)
     out = tmp_path / "area.csv"
     printed = script("area_convergence.py", "--max-radius", "60", "--samples", "6",
                      "--out", str(out))
@@ -70,7 +71,8 @@ def test_area_convergence_scales_the_half_lattice_count_error(tmp_path):
     assert "E/sqrt(rho)" in printed.splitlines()[0]
     for r, row, line in zip(radii, rows, printed.splitlines()[1:]):
         rho_sq = r * r - 0.5
-        want = (half_integer_points_in_disc(r) - math.pi * rho_sq) / math.sqrt(rho_sq)
+        sqrt_rho = rho_sq ** 0.25
+        want = (half_integer_points_in_disc(r) - math.pi * rho_sq) / sqrt_rho
         assert float(row.split(",")[-1]) == pytest.approx(want, rel=1e-11, abs=1e-11), r
         assert float(line.split()[-1]) == pytest.approx(want, abs=5e-5), r
 

@@ -24,7 +24,7 @@ def main() -> None:
     args = ap.parse_args()
     try:
         radii = parse_radii_spec(f"log:{args.min_radius}:{args.max_radius}:{args.samples}")
-    except ValueError as e:
+    except (ValueError, MemoryError) as e:  # a bad spec, or radii past memory
         ap.error(str(e))
 
     rows = []

@@ -5,11 +5,12 @@
         [--out PATH]
 
 The parent is REV (default HEAD, so that uncommitted changes are measured
-against the last commit), checked out in a temporary ``git worktree`` that
-is removed at the end.  Each side runs its own ``perfbench/run.py --trace 0``
-against its own ``src``.  For each workload, pair i (from 0) runs both
-sides with seed 1 + i, one after the other, and the side that runs first
-alternates from pair to pair, so that a drifting host favours neither.
+against the last commit), unpacked by ``git archive`` into a temporary
+directory that is removed at the end.  Each side runs its own
+``perfbench/run.py --trace 0`` against its own ``src``.  For each
+workload, pair i (from 0) runs both sides with seed 1 + i, one after the
+other, and the side that runs first alternates from pair to pair, so that
+a drifting host favours neither.
 The run length defaults to ``run_seconds`` of BENCHMARK.json.
 
 The file names both commits, with the sha256 of each side's
@@ -213,24 +214,24 @@ def main() -> int:
     results = {}
     with tempfile.TemporaryDirectory(prefix="bench-ab-") as tmp:
         base = Path(tmp) / "base"
-        git("worktree", "add", "--detach", str(base), base_commit)
-        try:
-            for workload in chosen:
-                runs = []
-                for i in range(args.pairs):
-                    seed = 1 + i
-                    order = (("parent", base), ("change", ROOT))
-                    if i % 2:
-                        order = order[::-1]
-                    pair = {side: run_side(path, workload, seed, args.seconds, args.scale)
-                            for side, path in order}
-                    runs.append((pair["parent"], pair["change"]))
-                    for side, run in pair.items():
-                        seen[side].update(run.get("run", {}))
-                    print(f"{workload} pair {i + 1}/{args.pairs} (seed {seed})", file=sys.stderr)
-                results[workload] = compare(runs, specs, claims.get(workload, set()))
-        finally:
-            git("worktree", "remove", "--force", str(base))
+        base.mkdir()
+        archive = subprocess.run(["git", "archive", base_commit], cwd=ROOT, capture_output=True,
+                                 check=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
+        for workload in chosen:
+            runs = []
+            for i in range(args.pairs):
+                seed = 1 + i
+                order = (("parent", base), ("change", ROOT))
+                if i % 2:
+                    order = order[::-1]
+                pair = {side: run_side(path, workload, seed, args.seconds, args.scale)
+                        for side, path in order}
+                runs.append((pair["parent"], pair["change"]))
+                for side, run in pair.items():
+                    seen[side].update(run.get("run", {}))
+                print(f"{workload} pair {i + 1}/{args.pairs} (seed {seed})", file=sys.stderr)
+            results[workload] = compare(runs, specs, claims.get(workload, set()))
 
     table = {
         "pr": args.pr,

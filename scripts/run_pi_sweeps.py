@@ -31,7 +31,7 @@ def main() -> None:
     spec = f"log:{args.min_radius}:{args.max_radius}:{args.samples}"
     try:
         radii = parse_radii_spec(spec)
-    except ValueError as e:
+    except (ValueError, MemoryError) as e:  # a bad spec, or radii past memory
         ap.error(str(e))
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

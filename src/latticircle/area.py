@@ -70,10 +70,11 @@ def inner_outer_areas(r: int) -> tuple[int, int]:
     points D = {(i, j) : 0 <= i <= k, F(i, j) <= 0}, F(i, j) = i^2 + j^2 - r^2,
     which has O(r^(2/3)) vertices (Balog and Barany, 1991), by the
     Stern-Brocot walk of Sladkey (arXiv:1206.3369): ``_hull_runs`` with
-    s = 0, which needs F(k - 1, k) = 2k^2 - 2k + 1 - r^2 <= 0, true as
-    2k^2 <= r^2.  One step by (a, b) from height j passes a columns with
-    heights summing to aj - c, c = (a-1)(b+1)/2 + b, the ceiling sum there,
-    so a run of m steps that ends at height j adds m(aj - c) + ab m(m+1)/2.
+    s = 0, which ends at this k: both of its callers end at the largest k
+    with 2k^2 <= r^2 - s.  One step by (a, b) from height j passes a
+    columns with heights summing to aj - c, c = (a-1)(b+1)/2 + b, the
+    ceiling sum there, so a run of m steps that ends at height j adds
+    m(aj - c) + ab m(m+1)/2.
 
     Every lattice point with F = 0 lies on the circle, so it is an extreme
     point of D's hull: the walk lands on each one with i >= 1, at the end

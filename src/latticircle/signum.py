@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from array import array
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import isqrt
 from operator import eq, neg
 from typing import Iterator, NamedTuple
@@ -227,8 +227,10 @@ def _hull_runs(r: int, s: int, k: int) -> Iterator[tuple[int, int, int, int, int
     origin (``area.inner_outer_areas``); for s = 1 it is the cells of the
     quadrant path (``_walk_hull``): 4F = (2i+1)^2 + (2j+1)^2 - 4r^2 + 2.
     The walk starts at the top of column 0, (0, r - s), and ends at column
-    k, which the caller chooses with k = 0 or F(k - 1, k) <= 0.  The top
-    h_i of column i, the largest j with F(i, j) <= 0, falls as i grows, so
+    k, which both callers choose by one rule: the largest k with
+    2k^2 <= r^2 - s.  Then F(k - 1, k) = 2k^2 + 2(s - 1)k + 1 - r^2 <= 0
+    (for s = 0 and k >= 1 it is at most 1 - 2k).  The top h_i of column
+    i, the largest j with F(i, j) <= 0, falls as i grows, so
     h_i >= k >= i + 1 for every i < k.  D is the lattice part of a convex
     set, so its hull lies in that set and floor(hull(i)) = h_i: (i, h_i) is
     in D and hull(i) < h_i + 1.  So one step by (a, b) passes columns
@@ -341,16 +343,18 @@ def _walk_hull(r: int) -> array:
     first r steps are decided.
 
     Reflected, they run from (0, r) along the top of C: one up step across
-    column i, then H_i - H_{i+1} left steps, for i = 0, 1, ..., cut at r
+    column i, then H_i - H_{i+1} left steps, for i = 0, 1, ..., up to r
     steps.  The top cell of column i is H_i - 1, so a hull step by (a, b)
     emits P(a, b) of ``_hull_runs``, and a run of m steps emits it m times.
-    The hull is walked to column k, the last with f(k, k+1) <= 0, that is
-    2(k+1)^2 + 1 <= r^2 (k = 0 if there is none), as ``_hull_runs``
-    requires; that emits the k + r - H_k steps of columns 0..k-1.  The
-    other H_k - k steps are the first of the 2 + H_k - H_{k+2} that
-    columns k and k + 1 emit, enough since f(k+1, k+2) > 0 gives
-    H_{k+2} <= H_{k+1} <= k + 2.  Their heights count the odd 2j + 1 with
-    (2j+1)^2 <= 4r^2 - 4i^2 - 4i - 3, none in column r or past it.
+    The hull is walked to column k, the largest with 2k^2 <= r^2 - 1, that
+    is f(k - 1, k) = 2k^2 + 1 - r^2 <= 0, as ``_hull_runs`` requires; that
+    emits the k + r - H_k steps of columns 0..k-1, and H_k - k remain.
+    H_k >= k: for k >= 1 the cell (k, k - 1) is in C, as its mirror
+    (k - 1, k) is.
+    H_k <= k + 1: f(k, k + 1) = 2(k + 1)^2 + 1 - r^2 > 0 by the choice of k.
+    So one step remains, the up step across the diagonal cell (k, k),
+    exactly when f(k, k) = 2k^2 + 2k + 1 - r^2 <= 0.  At r = 1, k = 0:
+    there is no run, and that step is the walk.
 
     Each run goes to its place n and, reversed and negated, to its mirror
     place 2r - n - len(run), through an unsigned view of the step array:
@@ -359,14 +363,14 @@ def _walk_hull(r: int) -> array:
     steps = array("b", [0]) * (2 * r)
     out = memoryview(steps).cast("B")  # a "b" view refuses bytes objects
 
-    k = max(0, isqrt((r * r - 1) // 2) - 1)
-    hs = [(isqrt(max(0, 4 * (r * r - i * i - i) - 3)) + 1) // 2 for i in range(k, k + 3)]
-    tail = b"".join(b"\x01" + b"\xff" * (h - g) for h, g in zip(hs, hs[1:]))[: hs[0] - k]
+    k = isqrt((r * r - 1) // 2)
     n = 0
-    for run in chain((p * m for _, _, m, _, _, p in _hull_runs(r, 1, k)), (tail,)):
+    for run in (p * m for _, _, m, _, _, p in _hull_runs(r, 1, k)):
         out[n : n + len(run)] = run
         out[2 * r - n - len(run) : 2 * r - n] = run[::-1].translate(_NEGATE)
         n += len(run)
+    if 2 * k * (k + 1) < r * r:  # f(k, k) <= 0: up across the diagonal cell, mirrored left
+        steps[n], steps[2 * r - 1 - n], n = 1, -1, n + 1
     assert n == r, "half turn must end on the diagonal"
     return steps
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import compress, repeat
 from operator import gt
 
@@ -56,6 +57,14 @@ def half_integer_points_in_disc(r):
 def test_area_counts_a_shifted_lattice_in_a_disc(r):
     # 4|C| = N(rho), rho^2 = r^2 - 1/2: the identity of the area module
     assert 4 * area_recursive(cached_trace(r)) == half_integer_points_in_disc(r)
+
+
+def test_area_ratio_is_the_shifted_lattice_count_over_r_squared():
+    # ratio = 4|C| / r^2 = N(rho) / r^2 = pi + (E - pi/2) / r^2 in exact
+    # arithmetic, with N(rho) = pi rho^2 + E and rho^2 = r^2 - 1/2; the float
+    # is that rational correctly rounded
+    for r in range(1, 61):
+        assert area_report(r).ratio == float(Fraction(half_integer_points_in_disc(r), r * r)), r
 
 
 def test_area_counts_the_cell_centres_in_the_disc():

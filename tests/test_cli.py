@@ -348,6 +348,63 @@ def test_parse_radii_spec():
         parse_radii_spec("log:0:9:3")
 
 
+HUGE_RADII_SPECS = {
+    "1:1000000000000:1": "1000000000000 radii need 200000000000000 bytes",
+    "log:1:1000000000000:100000000000": "100000000000 radii need 20000000000000 bytes",
+    # a count past sys.maxsize is refused by the same rule, not read as malformed
+    f"1:{10**30}:1": f"{10**30} radii need {200 * 10**30} bytes",
+}
+
+
+@pytest.mark.skipif(os.name != "posix", reason="caps the child with RLIMIT_AS")
+@pytest.mark.parametrize("spec", HUGE_RADII_SPECS)
+def test_radius_list_past_physical_memory_is_refused_before_it_is_built(spec):
+    # the child is capped, so a list that is built instead of refused fails
+    # there with a bare MemoryError, or runs into the timeout, and leaves the
+    # host alone
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    want = (
+        f"arithmetic failure: {HUGE_RADII_SPECS[spec]} for the radius list,"
+        f" more than the {memory} bytes of physical memory\n"
+    )
+    done = run_module("sweep", "--radii", spec, preexec_fn=cap_address_space_at_1_gib)
+    assert (done.returncode, done.stdout, done.stderr.decode()) == (3, b"", want)
+
+
+def test_radius_list_need_counts_the_radii_of_the_spec(monkeypatch, capsys):
+    # 4 096 000 bytes of physical memory hold 20 480 radii at 200 bytes each;
+    # a log: spec states the radii it asks for, duplicates included
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 1000, "SC_PAGE_SIZE": 4096}.get)
+    for spec in ("1:20481:1", "5:102405:5", "log:1:10:20481"):
+        assert run(["sweep", "--radii", spec]) == 3
+        assert capsys.readouterr() == (
+            "",
+            "arithmetic failure: 20481 radii need 4096200 bytes for the radius list,"
+            " more than the 4096000 bytes of physical memory\n",
+        )
+    assert parse_radii_spec("1:20480:1") == list(range(1, 20481))
+    assert parse_radii_spec("log:1:10:20480") == list(range(1, 11))
+    # a comma list is as long as the command line that holds it
+    assert parse_radii_spec(",".join(["7"] * 20481)) == [7]
+
+
+def test_radius_list_need_covers_what_the_list_holds():
+    # the stated 200 B a radius against the peak of the list, its set and
+    # the sorted list at 19 952 radii, where the set's last fourfold growth
+    # makes it largest: 163 B a radius for a range and 172 B for a log: spec
+    # of radii past 2^30, whose ints take 32 B; a spec that passes the rule fits
+    count = 19_952
+    for spec in (f"1000:{999 + count}:1", f"log:1:1000000000000000:{count}",
+                 f"log:1000000000000:10000000000000:{count}"):
+        tracemalloc.start()
+        try:
+            parse_radii_spec(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 60 * count < peak < 200 * count, spec
+
+
 def test_area_lines(capsys):
     assert run(["area", "--radius", "2", "--with-bounds"]) == 0
     assert capsys.readouterr().out == "2,3,1,4,3.0\n"

@@ -19,16 +19,38 @@ from test_area import half_integer_points_in_disc
 SCRIPTS = pathlib.Path(__file__).parents[1] / "scripts"
 
 
-def script(name, *argv, timeout=60):
+def run_script(name, *argv, timeout=60):
     env = dict(os.environ)
     src = str(pathlib.Path(latticircle.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(SCRIPTS / name), *argv],
         capture_output=True, env=env, text=True, timeout=timeout,
     )
+
+
+def script(name, *argv, timeout=60):
+    done = run_script(name, *argv, timeout=timeout)
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+@pytest.mark.skipif(os.name != "posix", reason="reads physical memory with os.sysconf")
+@pytest.mark.parametrize("name", ["run_pi_sweeps.py", "area_convergence.py"])
+def test_sweep_scripts_refuse_a_radius_list_as_a_bad_spec(name, tmp_path):
+    # both exit 2 with argparse's usage line and the reason, before any output
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    for samples, reason in (
+        ("0", "bad radii spec 'log:1:9:0'"),
+        (str(10**11), "100000000000 radii need 20000000000000 bytes for the radius list,"
+                      f" more than the {memory} bytes of physical memory"),
+    ):
+        done = run_script(name, "--min-radius", "1", "--max-radius", "9", "--samples", samples,
+                          "--out" if name == "area_convergence.py" else "--out-dir",
+                          str(tmp_path / "out"))
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.splitlines()[-1] == f"{name}: error: {reason}"
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_pi_sweeps_writes_what_sweep_writes(tmp_path):
@@ -86,6 +108,47 @@ def test_render_gallery_writes_eight_svgs(tmp_path):
     assert "quadrant_midpoint_r5.svg" in written
     for name in written:
         assert ET.parse(out_dir / name).getroot().tag.endswith("svg")
+
+
+CODE_LINES_FIXTURE = '''"""Module docstring,
+over two lines."""
+
+# a comment-only line
+import os  # a comment after code
+
+
+class A:
+    """Class docstring."""
+
+    x = 1
+
+    def f(self):
+        """Function
+        docstring."""
+        s = """a string, not a
+        docstring"""
+        return s
+
+
+async def g():
+    "one-line docstring"
+    return [
+        os.sep,
+        2,
+    ]
+'''
+
+
+def test_code_lines_leaves_out_blanks_comments_and_docstrings(tmp_path):
+    (tmp_path / "mod.py").write_text(CODE_LINES_FIXTURE)
+    (tmp_path / "__init__.py").write_text('"""Only a docstring."""\n')
+    header, *rows = script("code_lines.py", str(tmp_path)).splitlines()
+    assert header.split() == ["module", "code", "wc", "-l"]
+    # import, class, x, def, the two lines of s, return s, async def, and the
+    # four lines of the list
+    assert [row.split() for row in rows] == [
+        ["__init__.py", "0", "1"], ["mod.py", "12", "26"], ["total", "12", "27"]]
+    assert CODE_LINES_FIXTURE.count("\n") == 26
 
 
 def load_bench_ab():

@@ -448,37 +448,65 @@ def test_predicate_traces_mirror_in_the_diagonal(variant, radii):
         assert is_mirrored(generate_quadrant(r, variant).steps), (variant, r)
 
 
+# the two families of boundary radii for the hull walk's end column
+# k = isqrt((r^2 - 1) / 2): r^2 = 2k^2 + 1 puts f(k - 1, k) = 0, so k is the
+# last column that the walk may reach, and 2r^2 = (2k + 1)^2 + 1 puts
+# f(k, k) = 0, so the diagonal cell (k, k) lies on the tie
+END_COLUMN_TIES = (3, 17, 99, 577, 3363, 19_601, 114_243, 665_857)
+DIAGONAL_CELL_TIES = (5, 29, 169, 985, 5741, 33_461, 195_025, 1_136_689)
+
+
+def test_boundary_radii_solve_their_equations():
+    for r in END_COLUMN_TIES:
+        k = math.isqrt((r * r - 1) // 2)
+        assert r * r == 2 * k * k + 1, r
+    for r in DIAGONAL_CELL_TIES:
+        k = math.isqrt((r * r - 1) // 2)
+        assert 2 * r * r == (2 * k + 1) ** 2 + 1, r
+
+
 def test_half_walk_matches_the_full_walk():
     for r in range(1, 3001):
         assert cached_trace(r).steps == full_walk_midpoint(r), r
-    # 665857 and 1331714 solve 2(k+1)^2 + 1 = r^2, so the hull walk's last
-    # column k has f(k, k+1) = 0 exactly, and the r-step cut takes 2 of the
-    # 5 bytes that the tail's columns k and k+1 emit
-    for r in (*(2**k + e for k in range(1, 22) for e in (-1, 0, 1)), 665857, 1331714):
+    # 1331714 = 2 * 665857 misses the end-column tie by 3: f(k - 1, k) = -3
+    powers = (2**k + e for k in range(1, 22) for e in (-1, 0, 1))
+    for r in (*powers, *END_COLUMN_TIES, *DIAGONAL_CELL_TIES, 1331714):
         assert generate_quadrant(r).steps == full_walk_midpoint(r), r
 
 
 @pytest.mark.parametrize(
     "r, cut",
     [
-        (1, (1, 3)),  # no k >= 0 has 2k^2 + 4k + 3 <= r^2: no hull run
-        (2, (2, 4)),  # k = 0: no hull run either
-        (3, (2, 5)),
-        (4, (3, 4)),
-        (1970, (2, 5)),
-        (10**6, (3, 4)),
-        (10**6 + 1, (2, 4)),
+        (1, (0, 1)),  # no hull run: the walk is the one up step
+        (2, (1, 1)),
+        (3, (2, 2)),
+        (4, (2, 3)),
+        (1970, (1393, 1393)),
+        (10**6, (707106, 707107)),
+        (10**6 + 1, (707107, 707107)),
+        *zip(END_COLUMN_TIES[1:], [(12, 12), (70, 70), (408, 408), (2378, 2378),
+                                   (13860, 13860), (80782, 80782), (470832, 470832)]),
+        *zip(DIAGONAL_CELL_TIES, [(3, 4), (20, 21), (119, 120), (696, 697), (4059, 4060),
+                                  (23660, 23661), (137903, 137904), (803760, 803761)]),
     ],
 )
 def test_hull_walk_cuts_the_tail_at_the_diagonal(r, cut):
-    # cut: the tail steps kept before the diagonal, of the steps that
-    # columns k and k + 1 emit; H_i counts the odd c = 2j + 1 with
-    # c^2 <= 4r^2 - 4i^2 - 4i - 3, the cells of column i
-    k = max(0, math.isqrt((r * r - 1) // 2) - 1)
-    q = [4 * (r * r - i * i - i) - 3 for i in range(k, k + 3)]
-    heights = [(math.isqrt(n) + 1) // 2 if n > 0 else 0 for n in q]
-    assert (heights[0] - k, 2 + heights[0] - heights[2]) == cut
-    assert generate_quadrant(r).steps == full_walk_midpoint(r)
+    # cut: the hull walk's end column k, the largest with 2k^2 + 1 <= r^2,
+    # and H_k, the cells of C in column k, which count the odd c = 2j + 1
+    # with c^2 <= 4r^2 - 4k^2 - 4k - 3
+    k = math.isqrt((r * r - 1) // 2)
+    assert 2 * k * k + 1 <= r * r < 2 * (k + 1) ** 2 + 1
+    q = 4 * (r * r - k * k - k) - 3
+    height = (math.isqrt(q) + 1) // 2 if q > 0 else 0
+    assert (k, height) == cut
+    # the runs emit columns 0..k-1, and H_k - k steps remain: none, or the
+    # up step across the diagonal cell (k, k), taken when f(k, k) <= 0
+    assert k <= height <= k + 1
+    tail = 2 * k * (k + 1) < r * r
+    assert height - k == tail
+    steps = generate_quadrant(r).steps
+    assert (steps[r - 1] == 1) == tail  # the diagonal is reached by an up step
+    assert steps == full_walk_midpoint(r)
 
 
 def test_hull_walk_at_ten_million():

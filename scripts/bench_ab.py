@@ -6,7 +6,8 @@
 
 The parent is REV (default HEAD, so that uncommitted changes are measured
 against the last commit), unpacked by ``git archive`` into a temporary
-directory that is removed at the end.  Each side runs its own
+directory that is removed at the end, also when SIGTERM stops the script,
+which then exits with 143.  Each side runs its own
 ``perfbench/run.py --trace 0`` against its own ``src``.  For each
 workload, pair i (from 0) runs both sides with seed 1 + i, one after the
 other, and the side that runs first alternates from pair to pair, so that
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import statistics
 import subprocess
 import sys
@@ -181,6 +183,9 @@ def summary_line(name: str, table: dict) -> str:
 
 
 def main() -> int:
+    # SIGTERM unwinds as SystemExit(128 + 15): subprocess.run kills the side
+    # that is running, and the temporary checkout is removed
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in benchmark["workloads"]]
     specs = benchmark["end_to_end"]

@@ -22,23 +22,23 @@ import math
 from typing import NamedTuple
 
 from latticircle.lattice import read_radius
-from latticircle.signum import CostVariant, QuadrantTrace, _hull_runs, generate_quadrant, l1_sum
+from latticircle.signum import (CostVariant, L1Distances, QuadrantTrace, _hull_runs,
+                                generate_quadrant)
 
 
 def area_recursive(trace: QuadrantTrace) -> int:
     """Cells under the quarter path: sum of x over upward steps n <= 2r - 2.
 
-    The sum is read off the Manhattan distances a_n, which ``l1_sum`` sums
-    from the first r steps alone, through sum(a_n) = 2 area + r^2 (the
-    harmonic identity 1/H = area/(4r^2) + 1/8).  Proof: the path makes r
-    up steps, the j-th at index k_j with x = r - k_j + j (because
-    x_n - y_n = r - n), so area = r^2 + r(r-1)/2 - sum(k_j); each raises y
-    at the 2r - 1 - k_j later points, so
-    sum(y_n) = r(2r - 1) - sum(k_j) = area + (r^2 - r)/2; and
+    The sum is read off the Manhattan distances a_n, which
+    ``L1Distances.total`` sums from the first r steps alone, through
+    sum(a_n) = 2 area + r^2 (the harmonic identity 1/H = area/(4r^2) + 1/8).
+    Proof: the path makes r up steps, the j-th at index k_j with
+    x = r - k_j + j (because x_n - y_n = r - n), so
+    area = r^2 + r(r-1)/2 - sum(k_j); each raises y at the 2r - 1 - k_j
+    later points, so sum(y_n) = r(2r - 1) - sum(k_j) = area + (r^2 - r)/2; and
     sum(a_n) = 2 sum(y_n) + sum(r - n) = 2 sum(y_n) + r.
     """
-    r = trace.radius
-    return (l1_sum(trace.steps, r) - r * r) // 2
+    return (L1Distances(trace.radius, trace.steps).total() - trace.radius**2) // 2
 
 
 def inner_outer_areas(r: int) -> tuple[int, int]:

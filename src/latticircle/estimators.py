@@ -9,6 +9,15 @@ samples gives the estimators:
   approaches pi itself,
 * harmonic mean    H = 8 r^2 / sum(a_n), which approaches 16 / (pi + 2).
 
+The arithmetic mean tends to pi because one path step is one unit of l1
+arc.  On the quarter circle x = r cos(theta), y = r sin(theta), so
+x + y = r (cos(theta) + sin(theta)), and the l1 arc element is
+dl1 = |dx| + |dy| = r (cos(theta) + sin(theta)) dtheta.  So sum(1 / a_n),
+one unit of dl1 per term, is a Riemann sum of the integral of dl1 / (x + y)
+= dtheta over 0..pi/2, and A = 2 sum(1 / a_n) tends to 2 (pi/2) = pi.  The
+sum is exact, as harmonic numbers over the columns of the path, in
+``L1Distances.reciprocal_total``.
+
 For the constructed path the harmonic mean counts a shifted lattice in a
 disc, as the area does.  Its distances sum to sum(a_n) = 2|C| + r^2, where
 C is the set of cells under the path, and 4|C| = N(rho), the number of
@@ -26,7 +35,7 @@ which equals the continuum average (8 sqrt(2) / pi) atanh(1 / sqrt(2)).
 from __future__ import annotations
 
 import math
-from itertools import accumulate, chain, repeat
+from itertools import repeat
 from operator import truediv
 from typing import TYPE_CHECKING, Collection, NamedTuple, Sequence
 
@@ -89,20 +98,12 @@ def pi_sequence(
 def arithmetic_mean_pi(seq: PiSequence) -> float:
     """Arithmetic mean of the ratios: 2 sum(1 / a_n), compensated summation.
 
-    The signum view sums the first half only: a_{2r-n} = a_n (see
-    ``QuadrantTrace``), so the terms are 1/a_0, 1/a_r and 2/a_n for
-    1 <= n < r, with a_0..a_r streamed from the first r steps.  The float
-    is the one the 2r terms give: 2/a rounds to exactly twice the rounding
-    of 1/a, so the new terms add up exactly to the old ones, and fsum
-    rounds the exact sum of its terms."""
+    The signum view sums the first half only, by
+    ``L1Distances.reciprocal_total``, which gives the float of the 2r terms."""
     values = seq.l1_values
     if isinstance(values, L1Distances):
-        r = values.radius
-        weights = chain((1,), repeat(2, r - 1), (1,))
-        values = accumulate(memoryview(values.steps)[:r], initial=r)
-    else:
-        weights = repeat(1)
-    return 2 * math.fsum(map(truediv, weights, values))
+        return 2 * values.reciprocal_total()
+    return 2 * math.fsum(map(truediv, repeat(1), values))
 
 
 def harmonic_mean_pi(seq: PiSequence) -> float:

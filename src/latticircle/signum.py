@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from array import array
 from functools import cached_property
-from itertools import accumulate
-from math import isqrt
-from operator import eq, neg
+from itertools import accumulate, chain, repeat
+from math import fsum, isqrt
+from operator import eq, neg, truediv
 from typing import Iterator, NamedTuple
 
 from latticircle.choices import CostVariant
@@ -107,6 +107,13 @@ def cost_approx(a: int, c: int, r: int) -> int:
     return 1 if a * a + c * c + 1 <= 2 * r * r else -1
 
 
+def _distances(steps: array, r: int, n: int) -> Iterator[int]:
+    """a_0, ..., a_n, the Manhattan distances of the first n + 1 points of
+    the radius-r trace whose steps are ``steps``: a_0 = r, and step m adds
+    s_m.  The first n bytes are read through a view, so none is copied."""
+    return accumulate(memoryview(steps)[:n], initial=r)
+
+
 class QuadrantTrace:
     """Complete record of one quarter-circle recursion.
 
@@ -149,7 +156,7 @@ class QuadrantTrace:
 
     @cached_property
     def l1_dists(self) -> tuple[int, ...]:
-        half = tuple(accumulate(self.steps[: self.radius], initial=self.radius))
+        half = tuple(_distances(self.steps, self.radius, self.radius))
         return half + half[-2:0:-1]
 
     @cached_property
@@ -170,25 +177,16 @@ class QuadrantTrace:
 _COUNT_BLOCK = 1 << 14
 
 
-def l1_sum(steps: array, r: int) -> int:
-    """sum(a_n) over the 2r points of the trace whose steps are ``steps``,
-    streamed from the first r steps alone: a_{2r-n} = a_n (see
-    ``QuadrantTrace``), so sum_{n<2r} a_n = 2 sum_{n<=r} a_n - a_0 - a_r,
-    and point r lies on the diagonal, so a_r = 2 y_r, twice the up steps
-    among the first r.  They are counted in blocks of ``_COUNT_BLOCK``
-    bytes, so no copy of the steps exceeds one block."""
-    half = memoryview(steps)[:r]  # a view: no copy of the steps
-    ups = sum(half[i : i + _COUNT_BLOCK].tobytes().count(1) for i in range(0, r, _COUNT_BLOCK))
-    return 2 * sum(accumulate(half, initial=r)) - r - 2 * ups
-
-
 class L1Distances:
     """The Manhattan distances a_0, ..., a_{2r-1} of a trace, streamed from
     its step bytes instead of stored: ``len`` is 2r, and each iteration
     runs accumulate(steps[:2r-1], initial=r) afresh at C speed, so the 2r
     ints are never alive at once.  It yields the ints of
-    ``QuadrantTrace.l1_dists`` and compares equal to that tuple; ``total``
-    is their sum by ``l1_sum``."""
+    ``QuadrantTrace.l1_dists`` and compares equal to that tuple.
+
+    ``total`` and ``reciprocal_total`` reduce them from a_0..a_r alone, the
+    first r steps: a_{2r-n} = a_n for 1 <= n <= 2r - 1 (see
+    ``QuadrantTrace``), so every a_n with 0 < n < r stands for two."""
 
     __slots__ = ("radius", "steps")
 
@@ -200,7 +198,7 @@ class L1Distances:
         return 2 * self.radius
 
     def __iter__(self) -> Iterator[int]:
-        return accumulate(memoryview(self.steps)[: 2 * self.radius - 1], initial=self.radius)
+        return _distances(self.steps, self.radius, 2 * self.radius - 1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (tuple, L1Distances)):
@@ -210,7 +208,34 @@ class L1Distances:
     __hash__ = None  # equal to a tuple, so unhashable
 
     def total(self) -> int:
-        return l1_sum(self.steps, self.radius)
+        """sum(a_n) over the 2r points, an exact int: by the mirror,
+        sum_{n<2r} a_n = 2 sum_{n<=r} a_n - a_0 - a_r, and point r lies on
+        the diagonal, so a_r = 2 y_r, twice the up steps among the first r.
+        They are counted in blocks of ``_COUNT_BLOCK`` bytes, so no copy of
+        the steps exceeds one block."""
+        r, half = self.radius, memoryview(self.steps)[: self.radius]
+        ups = sum(half[i : i + _COUNT_BLOCK].tobytes().count(1) for i in range(0, r, _COUNT_BLOCK))
+        return 2 * sum(_distances(self.steps, r, r)) - r - 2 * ups
+
+    def reciprocal_total(self) -> float:
+        """sum(1 / a_n) over the 2r points, by compensated summation.
+
+        By the mirror the terms are 1/a_0, 1/a_r and 2/a_n for 0 < n < r,
+        weights 1, 2, ..., 2, 1 over a_0..a_r.  The float is the one that
+        fsum gives over the 2r terms 1/a_n: 2/a rounds to exactly twice the
+        rounding of 1/a, so the new terms add up exactly to the old ones,
+        and fsum rounds the exact sum of its terms.
+
+        Exactly, the sum runs over the columns of the cells C under the path
+        (``_walk_hull``): column x, for x = r, ..., 1, holds the points
+        (x, H_x), ..., (x, H_{x-1}), with a = x + H_x, ..., x + H_{x-1}, so
+        with Harm(m) = sum_{j=1}^{m} 1/j,
+        sum_{n<2r} 1/a_n = sum_{x=1}^{r} (Harm(x + H_{x-1}) - Harm(x + H_x - 1)).
+        H_x is the height of column x of C, the number of j >= 0 with
+        (2j+1)^2 <= 4r^2 - 2 - (2x+1)^2, (isqrt of that bound + 1) // 2 when
+        it is positive and 0 otherwise; H_0 = r and H_r = 0."""
+        r = self.radius
+        return fsum(map(truediv, chain((1,), repeat(2, r - 1), (1,)), _distances(self.steps, r, r)))
 
 
 _NEGATE = bytes.maketrans(b"\x01\xff", b"\xff\x01")  # s -> -s on signed bytes

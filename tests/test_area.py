@@ -12,7 +12,7 @@ from latticircle.area import (
     check_sum_identity,
     inner_outer_areas,
 )
-from latticircle.signum import generate_quadrant
+from latticircle.signum import _hull_runs, generate_quadrant
 
 
 def brute_inner_outer(r):
@@ -156,6 +156,81 @@ def test_hull_walk_at_large_radii(r, bounds):
 def test_hull_walk_matches_the_octant_loop_exhaustively():
     for r in range(1, 20_001):
         assert inner_outer_areas(r) == octant_loop_inner_outer(r), r
+
+
+def circle_points_by_jacobi(r):
+    """(r_2(r^2) - 4) / 8, the lattice points (i, j) of the circle of radius r
+    with 0 < i < j.  By Jacobi's two-square theorem r_2(r^2), which counts
+    every (i, j) with i^2 + j^2 = r^2, is 4 prod (2 e_p + 1) over the primes
+    p = 1 (mod 4) that divide r, e_p times; the 4 points on the axes remain,
+    and the others come in eights, (+-i, +-j) and (+-j, +-i)."""
+    product, n, p = 1, r, 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        if p % 4 == 1:
+            product *= 2 * e + 1
+        p += 1
+    if n % 4 == 1 and n > 1:
+        product *= 3
+    return (4 * product - 4) // 8
+
+
+def circle_points_on_the_hull_walk(r):
+    """The runs of the s = 0 walk that end at F = 0, which ``inner_outer_areas``
+    counts as the columns whose r^2 - i^2 is a perfect square."""
+    return sum(f == 0 for _, _, _, _, f, _ in _hull_runs(r, 0, math.isqrt(r * r // 2)))
+
+
+def test_hull_walk_counts_the_circle_points_of_jacobi():
+    # no O(r) oracle: the number of circle points follows from r's factors
+    for r in range(1, 2001):
+        assert circle_points_on_the_hull_walk(r) == circle_points_by_jacobi(r), r
+    # 5525 = 5^2 13 17, 5^10 and 48612265 = 5 13 17 29 37 41
+    for r, points in ((5525, 22), (5**10, 10), (48_612_265, 364)):
+        assert circle_points_by_jacobi(r) == points, r
+        assert circle_points_on_the_hull_walk(r) == points, r
+
+
+@pytest.mark.slow
+def test_hull_walk_counts_the_circle_points_of_jacobi_exhaustively():
+    for r in range(1, 20_001):
+        assert circle_points_on_the_hull_walk(r) == circle_points_by_jacobi(r), r
+    # 2576450045 = 48612265 * 53, and 10^10 + 1 = 101 3541 27961
+    for r, points in ((2_576_450_045, 1093), (10**10 + 1, 13)):
+        assert circle_points_by_jacobi(r) == points, r
+        assert circle_points_on_the_hull_walk(r) == points, r
+
+
+def assert_runs_end_on_the_boundary(r, s):
+    """Each run of ``_hull_runs`` ends at the top of its column, on F's
+    last point before F > 0 or column k, and the last run ends at column k;
+    each run is steeper than the one before, as the edges of a hull are.
+    The top of column i is the largest j with F(i, j) <= 0, and
+    4F = (2i + s)^2 + (2j + s)^2 + 2s - 4r^2, so it is
+    (isqrt(4r^2 - 2s - (2i + s)^2) - s) // 2."""
+    def F(i, j):
+        return i * i + j * j + s * (i + j + 1) - r * r
+
+    def top(i):
+        return (math.isqrt(4 * r * r - 2 * s - (2 * i + s) ** 2) - s) // 2
+
+    k = math.isqrt((r * r - s) // 2)
+    i, slope = 0, (1, -1)
+    for a, b, m, j, f, _ in _hull_runs(r, s, k):
+        assert b * slope[0] > slope[1] * a, (r, s, i)
+        i, slope = i + m * a, (a, b)
+        assert f == F(i, j) and f <= 0, (r, s, i)
+        assert i + a > k or F(i + a, j - b) > 0, (r, s, i)
+        assert j == top(i), (r, s, i)
+    assert i == k, (r, s)
+
+
+def test_hull_runs_end_on_the_boundary():
+    for s in (0, 1):
+        for r in range(1, 2001):
+            assert_runs_end_on_the_boundary(r, s)
 
 
 def test_inner_outer_rejects_bad_radius():

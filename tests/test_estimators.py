@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from array import array
+from collections import Counter
 from fractions import Fraction
 from itertools import repeat
 from operator import truediv
@@ -95,10 +96,49 @@ def test_half_length_arithmetic_mean_is_the_full_length_float():
         assert arithmetic_mean_pi(seq).hex() == full.hex(), r
 
 
+def column_heights(r):
+    """H_0, ..., H_r: H_x counts the cells of C in column x, the odd
+    c = 2j + 1 with c^2 <= 4r^2 - 2 - (2x + 1)^2, none when that is negative."""
+    q = 4 * r * r - 2
+    bounds = (q - (2 * x + 1) ** 2 for x in range(r + 1))
+    return [(math.isqrt(b) + 1) // 2 if b > 0 else 0 for b in bounds]
+
+
+def reciprocal_sum_by_columns(r):
+    """sum_{x=1}^{r} (Harm(x + H_{x-1}) - Harm(x + H_x - 1)), exactly: each
+    harmonic number Harm(m) enters once, weighted by how many column ends
+    name it, so no table of them is kept."""
+    h, weights = column_heights(r), Counter()
+    for x in range(1, r + 1):
+        weights[x + h[x - 1]] += 1
+        weights[x + h[x] - 1] -= 1
+    harm = total = Fraction(0)
+    for m in range(1, max(weights) + 1):
+        harm += Fraction(1, m)
+        if weights[m]:
+            total += weights[m] * harm
+    return total
+
+
+# the boundary radii of the hull walk's end column (tests/test_signum.py):
+# r^2 = 2k^2 + 1 and 2r^2 = (2k + 1)^2 + 1
+BOUNDARY_RADII = (3, 17, 99, 577, 3363, 5, 29, 169, 985, 5741)
+
+
+def test_reciprocal_sum_is_harmonic_numbers_over_the_columns():
+    # the column identity of ``L1Distances.reciprocal_total``, against the
+    # exact mean over the streamed distances; H_0 = r and H_r = 0 bound it
+    for r in (*range(1, 201), *BOUNDARY_RADII):
+        h = column_heights(r)
+        assert (h[0], h[r]) == (r, 0), r
+        exact = arithmetic_mean_pi_exact(pi_sequence(r, SIGNUM))
+        assert 2 * reciprocal_sum_by_columns(r) == exact, r
+
+
 @pytest.mark.parametrize("estimator", list(Estimator))
 def test_signum_estimate_holds_only_the_step_bytes(estimator):
     # the view stores no distances: estimate's peak is the 2r-byte step
-    # array plus at most one 16 KiB block of ``l1_sum``'s up-step count
+    # array plus at most one 16 KiB block of ``L1Distances.total``'s up-step count
     r = 200_000
     tracemalloc.start()
     try:

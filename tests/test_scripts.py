@@ -6,14 +6,17 @@ import math
 import os
 import pathlib
 import shutil
+import signal
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
 
 import latticircle
 from latticircle.cli import parse_radii_spec, run
+from latticircle.estimators import arithmetic_mean_pi_exact, pi_sequence
 from test_area import half_integer_points_in_disc
 
 SCRIPTS = pathlib.Path(__file__).parents[1] / "scripts"
@@ -72,7 +75,7 @@ def test_area_convergence_writes_one_row_per_radius(tmp_path, capsys):
     out = tmp_path / "area.csv"
     script("area_convergence.py", "--max-radius", "50", "--samples", "4", "--out", str(out))
     header, *rows = out.read_text().splitlines()
-    assert header == "r,area,inner,outer,ratio,abs_error,E/sqrt(rho)"
+    assert header == "r,area,inner,outer,ratio,abs_error,E/sqrt(rho),(A-pi)*r^1.5"
     radii = parse_radii_spec("log:1:50:4")
     assert len(rows) == len(radii)
     for r, row in zip(radii, rows):
@@ -95,8 +98,23 @@ def test_area_convergence_scales_the_half_lattice_count_error(tmp_path):
         rho_sq = r * r - 0.5
         sqrt_rho = rho_sq ** 0.25
         want = (half_integer_points_in_disc(r) - math.pi * rho_sq) / sqrt_rho
-        assert float(row.split(",")[-1]) == pytest.approx(want, rel=1e-11, abs=1e-11), r
-        assert float(line.split()[-1]) == pytest.approx(want, abs=5e-5), r
+        assert float(row.split(",")[6]) == pytest.approx(want, rel=1e-11, abs=1e-11), r
+        assert float(line.split()[6]) == pytest.approx(want, abs=5e-5), r
+
+
+def test_area_convergence_scales_the_arithmetic_mean_error(tmp_path):
+    # the last column is (A - pi) r^1.5 with A the arithmetic mean that
+    # `latticircle pi` prints, here rounded from its exact rational value
+    out = tmp_path / "area.csv"
+    printed = script("area_convergence.py", "--max-radius", "60", "--samples", "6",
+                     "--out", str(out))
+    _, *rows = out.read_text().splitlines()
+    assert printed.splitlines()[0].split()[-1] == "(A-pi)*r^1.5"
+    for r, row, line in zip(parse_radii_spec("log:1:60:6"), rows, printed.splitlines()[1:]):
+        exact = arithmetic_mean_pi_exact(pi_sequence(r, "signum"))
+        want = (float(exact) - math.pi) * r**1.5
+        assert float(row.split(",")[-1]) == pytest.approx(want, rel=0, abs=1e-9), r
+        assert float(line.split()[-1]) == pytest.approx(want, abs=5e-7), r
 
 
 def test_render_gallery_writes_eight_svgs(tmp_path):
@@ -276,3 +294,29 @@ def test_bench_ab_runs_head_against_itself(tmp_path):
     # the parent's worktree is gone
     assert subprocess.run(["git", "worktree", "list"], cwd=root, capture_output=True,
                           text=True).stdout == worktrees
+
+
+@pytest.mark.skipif(shutil.which("git") is None or os.name != "posix",
+                    reason="needs git and SIGTERM")
+def test_bench_ab_removes_its_checkout_when_terminated(tmp_path):
+    # SIGTERM as soon as the parent's checkout exists: the script exits with
+    # 143 and leaves no bench-ab-* directory and no table behind
+    if subprocess.run(["git", "rev-parse", "HEAD"], cwd=SCRIPTS.parent,
+                      capture_output=True).returncode:
+        pytest.skip("not a git checkout with a commit")
+    out = tmp_path / "BENCH_0.json"
+    argv = [sys.executable, str(SCRIPTS / "bench_ab.py"), "--pr", "0", "--pairs", "2",
+            "--seconds", "0.1", "--scale", "smoke", "--workload", "reduce", "--out", str(out)]
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    with subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True) as child:
+        deadline = time.monotonic() + 60
+        while not any(tmp_path.glob("bench-ab-*/base")):
+            assert child.poll() is None, child.stderr.read()
+            assert time.monotonic() < deadline, "no checkout after 60 s"
+            time.sleep(0.002)
+        child.send_signal(signal.SIGTERM)
+        _, err = child.communicate(timeout=60)
+    assert child.returncode == 143, err
+    assert not any(tmp_path.glob("bench-ab-*"))
+    assert not out.exists()

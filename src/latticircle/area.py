@@ -41,6 +41,13 @@ def area_recursive(trace: QuadrantTrace) -> int:
     return (L1Distances(trace.radius, trace.steps).total() - trace.radius**2) // 2
 
 
+# The hull walk takes 0.427-0.460 runs per r^(2/3), measured for r from 10^3
+# to 10^8, at about 7 us a run.  A radius whose prediction at the top of that
+# band passes the cap, about 30 s of walking (r near 2.6 * 10^10), is refused.
+_RUNS_PER_R23 = 0.46
+_MAX_RUNS = 4e6
+
+
 def inner_outer_areas(r: int) -> tuple[int, int]:
     """Unit-cell counts bracketing the quarter-disc area.
 
@@ -79,8 +86,16 @@ def inner_outer_areas(r: int) -> tuple[int, int]:
     Every lattice point with F = 0 lies on the circle, so it is an extreme
     point of D's hull: the walk lands on each one with i >= 1, at the end
     of a run, and counts P from the run's last F.
+
+    A radius for which 0.46 r^(2/3) runs exceed 4 * 10^6 raises
+    OverflowError, naming both, before the walk: 10^10 + 1 (2.1 * 10^6 runs
+    predicted) is walked, and 2^61 (8 * 10^11, some 60 days) is refused.
     """
     r = read_radius(r)
+    runs = _RUNS_PER_R23 * r ** (2 / 3)
+    if runs > _MAX_RUNS:
+        raise OverflowError(f"radius {r}: {runs:.4g} hull runs predicted, over the cap "
+                            f"{_MAX_RUNS:g}")
     k = math.isqrt(r * r // 2)
     heights = squares = 0
     for a, b, m, j, f, _ in _hull_runs(r, 0, k):

@@ -21,13 +21,14 @@ from latticircle.choices import CostVariant, DiscretizationSource, Estimator
 
 # The library names the commands call, by the module that defines them.  A
 # command imports only its own modules, when it runs, so `--help` compiles
-# none of them and `validate` only `lattice`.  `_bind` puts a module's names
-# in this module's globals, where the commands look them up and where a
-# tracer that wraps `cli.<name>` before the command runs replaces them;
-# `__getattr__` resolves a name for a caller outside `cli` before that.
+# none of them and `validate` only `lattice`.  Every library name is read as
+# `_cli.<name>`: on a miss the module `__getattr__` imports the module that
+# defines it and binds that module's names here, keeping a name already set,
+# such as a wrapper that a tracer put on `cli.<name>` before the command ran.
 _NAMES = {
     "lattice": ("PointColumns", "check_path", "read_radius", "require_memory"),
-    "signum": ("assemble_full_circle", "generate_quadrant", "require_step_memory"),
+    "signum": ("assemble_full_circle", "circle_columns", "generate_quadrant", "mirror",
+               "require_step_memory"),
     "svg": ("render_path_svg",),
     # pi_sequence and the two means are never called here: perfbench/traced.py
     # wraps them by these names.  A stats channel that replaces the wrappers
@@ -35,25 +36,18 @@ _NAMES = {
     "estimators": ("estimate", "sweep", "pi_sequence", "arithmetic_mean_pi", "harmonic_mean_pi"),
     "area": ("area_report",),
 }
-
-
-def _bind(*modules: str) -> None:
-    """Import each module and bind its ``_NAMES`` here, keeping any name
-    that is already bound, such as a wrapper set on ``cli.<name>``."""
-    scope = globals()
-    for module in modules:
-        qualified = f"latticircle.{module}"
-        __import__(qualified)  # unlike importlib's, shown by -X importtime
-        found = vars(sys.modules[qualified])
-        for name in _NAMES[module]:
-            scope.setdefault(name, found[name])
+_cli = sys.modules[__name__]
 
 
 def __getattr__(name: str):
     for module, names in _NAMES.items():
         if name in names:
-            _bind(module)
-            return globals()[name]
+            qualified = f"latticircle.{module}"
+            __import__(qualified)  # unlike importlib's, shown by -X importtime
+            found, scope = vars(sys.modules[qualified]), globals()
+            for each in names:
+                scope.setdefault(each, found[each])
+            return scope[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -94,8 +88,6 @@ def parse_radii_spec(spec: str) -> list[int]:
     float range raises ValueError.  A range or log: spec whose radii, at
     ``_RADIUS_BYTES`` each, exceed physical memory raises MemoryError from
     ``require_memory`` before the list is built."""
-    from latticircle.lattice import require_memory
-
     try:
         if ":" in spec:
             log = spec.startswith("log:")
@@ -103,7 +95,7 @@ def parse_radii_spec(spec: str) -> list[int]:
             if lo < 1 or hi < lo or n < 1:
                 raise ValueError
             count = n if log else (hi - lo) // n + 1
-            require_memory(f"{count} radii", _RADIUS_BYTES * count, "for the radius list")
+            _cli.require_memory(f"{count} radii", _RADIUS_BYTES * count, "for the radius list")
             if not log:
                 radii = range(lo, hi + 1, n)
             elif n == 1:
@@ -132,10 +124,9 @@ def _rows_csv(trace, full: bool) -> str:
     quarter turn keeps the decisions and preserves a = |x| + |y|.  Rows are
     joined ``_ROWS`` at a time and then the blocks, so that only one block
     of row strings is alive at once; no row is empty, so neither is a block."""
-    from latticircle.signum import circle_columns, mirror
-
     xs = list(map(str, trace.xs))
-    xs, ys = circle_columns(xs, ["-" + x for x in xs], "0") if full else (xs, mirror(xs, "0"))
+    xs, ys = (_cli.circle_columns(xs, ["-" + x for x in xs], "0") if full
+              else (xs, _cli.mirror(xs, "0")))
     tails = [f"{s},{a},{S}" for s, a, S in zip(trace.steps, trace.l1_dists, trace.sign_sums)]
     rows = map(",".join, zip(map(str, range(len(xs))), xs, ys, cycle(tails)))
     blocks = iter(lambda: "\n".join(islice(rows, _ROWS)), "")
@@ -157,21 +148,20 @@ _POINT_BYTES = {"quadrant": 250, "full": 150}
 
 
 def _cmd_generate(args) -> int:
-    _bind("lattice", "signum")
-    r = read_radius(args.radius)
+    r = _cli.read_radius(args.radius)
     full = args.extent == "full"
     count = 8 * r if full else 2 * r
     # both needs before the walk, the step array's first: it is named when it alone cannot fit
-    require_step_memory(r)
+    _cli.require_step_memory(r)
     need = count * _POINT_BYTES[args.extent]
-    require_memory(f"{count} points", need, f"for the {args.extent} {args.format.upper()}")
-    trace = generate_quadrant(r, args.cost)
+    _cli.require_memory(f"{count} points", need, f"for the {args.extent} {args.format.upper()}")
+    trace = _cli.generate_quadrant(r, args.cost)
     if args.format == "csv":
         text = _full_circle_csv(trace) if full else _trace_csv(trace)
     else:
-        _bind("svg")
-        points = assemble_full_circle(trace).points if full else PointColumns(trace.xs, trace.ys)
-        text = render_path_svg(points, r, full, args.overlay_circle)
+        points = (_cli.assemble_full_circle(trace).points if full
+                  else _cli.PointColumns(trace.xs, trace.ys))
+        text = _cli.render_path_svg(points, r, full, args.overlay_circle)
     _emit(text, args.out)
     return 0
 
@@ -187,8 +177,6 @@ def _read_points_csv(path: str) -> PointColumns:
     line not yet read.  A block is decoded before any of its rows is parsed,
     so an undecodable byte less than one block after a malformed row is
     reported as the codec error, as the decoder's 8 KiB read-ahead does."""
-    from latticircle.lattice import PointColumns
-
     # utf-8-sig drops a leading byte-order mark; text mode turns CRLF into LF
     with open(path, "r", encoding="utf-8-sig") as fh:
         lineno = 1  # the first line not yet read
@@ -227,13 +215,12 @@ def _read_points_csv(path: str) -> PointColumns:
                 lineno += len(lines)
         except UnicodeDecodeError as e:
             raise ValueError(f"{path}: undecodable text at or after line {lineno}: {e}")
-    return PointColumns(xs, ys)
+    return _cli.PointColumns(xs, ys)
 
 
 def _cmd_validate(args) -> int:
-    _bind("lattice")
     points = _read_points_csv(args.path)
-    report = check_path(points, mode=args.mode)
+    report = _cli.check_path(points, mode=args.mode)
     ok = report.is_closed_valid if args.mode == "closed" else report.is_valid
     note = f" note={report.note}" if report.note else ""
     print(f"mode={args.mode} points={len(points)} valid={'true' if ok else 'false'}{note}")
@@ -251,22 +238,19 @@ def _record_line(rec) -> str:
 
 
 def _cmd_pi(args) -> int:
-    _bind("estimators")
-    print(_record_line(estimate(args.radius, args.estimator, args.source, args.cost)))
+    print(_record_line(_cli.estimate(args.radius, args.estimator, args.source, args.cost)))
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    _bind("estimators")
-    records = sweep(parse_radii_spec(args.radii), args.estimator, args.source, args.cost)
+    records = _cli.sweep(parse_radii_spec(args.radii), args.estimator, args.source, args.cost)
     lines = ["r,estimator,source,value,target,abs_error", *map(_record_line, records)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def _cmd_area(args) -> int:
-    _bind("area")
-    report = area_report(args.radius, args.cost, with_bounds=args.with_bounds)
+    report = _cli.area_report(args.radius, args.cost, with_bounds=args.with_bounds)
     bounds = f"{report.inner},{report.outer}" if args.with_bounds else ","
     print(f"{report.radius},{report.area},{bounds},{format_real(report.ratio)}")
     return 0

@@ -1,4 +1,6 @@
 import math
+import random
+import signal
 from fractions import Fraction
 from itertools import compress, repeat
 from operator import gt
@@ -203,13 +205,15 @@ def test_hull_walk_counts_the_circle_points_of_jacobi_exhaustively():
         assert circle_points_on_the_hull_walk(r) == points, r
 
 
-def assert_runs_end_on_the_boundary(r, s):
+def assert_runs_end_on_the_boundary(r, s, columns=()):
     """Each run of ``_hull_runs`` ends at the top of its column, on F's
     last point before F > 0 or column k, and the last run ends at column k;
     each run is steeper than the one before, as the edges of a hull are.
     The top of column i is the largest j with F(i, j) <= 0, and
     4F = (2i + s)^2 + (2j + s)^2 + 2s - 4r^2, so it is
-    (isqrt(4r^2 - 2s - (2i + s)^2) - s) // 2."""
+    (isqrt(4r^2 - 2s - (2i + s)^2) - s) // 2.  Each of ``columns``, in
+    ascending order, is the column i + t, 1 <= t <= a, that some step by
+    (a, b) of a run passes from (i, j), and its top is j - ceil(tb/a)."""
     def F(i, j):
         return i * i + j * j + s * (i + j + 1) - r * r
 
@@ -218,13 +222,26 @@ def assert_runs_end_on_the_boundary(r, s):
 
     k = math.isqrt((r * r - s) // 2)
     i, slope = 0, (1, -1)
+    inside = iter(columns)
+    column = next(inside, None)
     for a, b, m, j, f, _ in _hull_runs(r, s, k):
         assert b * slope[0] > slope[1] * a, (r, s, i)
+        start, height = i, j + m * b
         i, slope = i + m * a, (a, b)
+        while column is not None and column <= i:
+            steps, t = divmod(column - start - 1, a)
+            assert height - steps * b + (-(t + 1) * b // a) == top(column), (r, s, column)
+            column = next(inside, None)
         assert f == F(i, j) and f <= 0, (r, s, i)
         assert i + a > k or F(i + a, j - b) > 0, (r, s, i)
         assert j == top(i), (r, s, i)
-    assert i == k, (r, s)
+    assert i == k and column is None, (r, s)
+
+
+def random_columns(r, s, count=10_000):
+    """Up to ``count`` distinct columns in 1..k, ascending, drawn with seed r."""
+    k = math.isqrt((r * r - s) // 2)
+    return sorted(random.Random(r).sample(range(1, k + 1), min(count, k)))
 
 
 def test_hull_runs_end_on_the_boundary():
@@ -233,9 +250,55 @@ def test_hull_runs_end_on_the_boundary():
             assert_runs_end_on_the_boundary(r, s)
 
 
+@pytest.mark.parametrize("r", [100, 5525, 65_537, 665_857, 10**6])
+def test_heights_inside_runs_are_the_column_tops(r):
+    for s in (0, 1):
+        assert_runs_end_on_the_boundary(r, s, random_columns(r, s))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("r", [4_478_554_083, 7_645_370_045])
+def test_hull_runs_end_on_the_boundary_near_ten_to_the_ten(r):
+    # one radius of each boundary family of test_signum.py: r^2 = 2k^2 + 1
+    # puts the s = 1 walk's end column on F = 0, 2r^2 = (2k + 1)^2 + 1 the
+    # diagonal cell (k, k); 2576450045 is in the Jacobi test above
+    k = math.isqrt((r * r - 1) // 2)
+    assert r * r == 2 * k * k + 1 or 2 * r * r == (2 * k + 1) ** 2 + 1
+    for s in (0, 1):
+        assert_runs_end_on_the_boundary(r, s, random_columns(r, s))
+
+
 def test_inner_outer_rejects_bad_radius():
     with pytest.raises(ValueError):
         inner_outer_areas(0)
+
+
+def test_inner_outer_refuses_a_radius_of_months_before_it_walks():
+    # 2^61 passes read_radius and holds O(1) memory, but its 8 * 10^11 runs
+    # would take some 60 days; the prediction refuses it at once
+    def expire(signum, frame):
+        raise TimeoutError("inner_outer_areas(2**61) walked")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        with pytest.raises(OverflowError, match=r"^radius 2305843009213693952: 8\.029e\+11 hull "
+                           r"runs predicted, over the cap 4e\+06$"):
+            inner_outer_areas(2**61)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_inner_outer_run_cap_lies_between_two_radii(monkeypatch):
+    # 0.46 r^(2/3) = 4 * 10^6 at r = 25 642 079 331.3; below it nothing is
+    # refused, so the walk is replaced by one that takes no run
+    with pytest.raises(OverflowError, match=r"^radius 25642079332: 4e\+06 hull runs predicted"):
+        inner_outer_areas(25_642_079_332)
+    monkeypatch.setattr("latticircle.area._hull_runs", lambda r, s, k: iter(()))
+    r = 25_642_079_331
+    k = math.isqrt(r * r // 2)
+    assert inner_outer_areas(r) == (-k * k, 2 * r - 1 - k * k)
 
 
 @pytest.mark.parametrize("r", list(range(1, 81)))

@@ -602,6 +602,51 @@ def test_one_parser_serves_every_run(capsys):
     assert cli._build_parser() is cli._build_parser()
 
 
+README = pathlib.Path(__file__).parents[1] / "README.md"
+
+
+def readme_cli_examples():
+    """(command, stdout) of each example in the README's ``sh`` block under
+    "CLI" that shows its output.  A line that starts with ``latticircle ``
+    and does not end in a backslash is a command; its stdout is the ``# ``
+    lines right after it, up to the next blank line or command line, with
+    the ``# `` removed."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n")[1].split("```sh\n")[1].split("\n```")[0]
+    examples, shown = [], None
+    for line in block.splitlines():
+        if line.startswith("latticircle ") and not line.endswith("\\"):
+            shown = []
+            examples.append((line, shown))
+        elif shown is not None and line.startswith("# "):
+            shown.append(line[2:] + "\n")
+        else:
+            shown = None
+    return [(command, "".join(shown)) for command, shown in examples if shown]
+
+
+def test_readme_cli_examples_print_what_the_readme_shows(capsys):
+    examples = readme_cli_examples()
+    assert [command for command, _ in examples] == [
+        "latticircle generate --radius 2",
+        "latticircle pi --radius 100 --estimator harmonic",
+        "latticircle pi --radius 10000000",
+        "latticircle pi --radius 10000000 --estimator harmonic",
+        "latticircle area --radius 1000 --with-bounds",
+        "latticircle area --radius 5525 --with-bounds",
+    ]
+    for command, shown in examples:
+        assert run(command.split()[1:]) == 0, command
+        assert capsys.readouterr().out == shown, command
+
+
+def test_ci_workflow_parses_as_yaml():
+    # a ": " in a plain step name once made the whole workflow invalid
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((README.parent / ".github/workflows/tests.yml").read_text())
+    assert all("run" in step or "uses" in step for step in workflow["jobs"]["test"]["steps"])
+
+
 # Each command imports only the modules it runs, counted in a fresh interpreter.
 
 CLI_MODULES = {"latticircle", "latticircle.cli", "latticircle.choices"}

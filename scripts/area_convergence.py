@@ -7,11 +7,16 @@ rho = sqrt(r^2 - 1/2), N(rho) = pi rho^2 + E(rho), and the column is
 E/sqrt(rho) with E = 4*area - pi (r^2 - 1/2), in float arithmetic.
 The last column, (A-pi)*r^1.5, scales the error of the arithmetic mean
 A = 2 sum(1/a_n) of the same path, the float that ``latticircle pi`` prints.
+
+With three radii or more, a last line gives the least-squares fit
+(A - pi) r^2 = alpha E + beta over the rows, E = 4*area - pi (r^2 - 1/2),
+with the residual standard deviation sqrt(sum(residual^2) / (n - 2)).
 """
 
 import argparse
 import math
 import pathlib
+import statistics
 
 from latticircle.area import area_report
 from latticircle.cli import format_real, parse_radii_spec
@@ -56,6 +61,16 @@ def main() -> None:
                 reals = ",".join(map(format_real, reals))
                 fh.write(f"{r},{area},{inner},{outer},{reals}\n")
         print(f"wrote {path}")
+
+    if len(rows) >= 3:
+        # E from the area column, (A - pi) r^2 from the (A-pi)*r^1.5 column
+        es = [4 * area - math.pi * (r * r - 0.5) for r, area, *_ in rows]
+        errs = [row[-1] * math.sqrt(row[0]) for row in rows]
+        alpha, beta = statistics.linear_regression(es, errs)
+        residuals = [y - (alpha * e + beta) for e, y in zip(es, errs)]
+        sd = math.sqrt(math.fsum(d * d for d in residuals) / (len(rows) - 2))
+        print(f"fit (A-pi)*r^2 = alpha*E + beta over {len(rows)} radii:"
+              f" alpha={alpha:.6g} beta={beta:.6g} residual_sd={sd:.6g}")
 
 
 if __name__ == "__main__":

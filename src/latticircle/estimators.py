@@ -54,7 +54,8 @@ class PiSequence(NamedTuple):
     ``l1_values`` is sized and can be iterated any number of times.  For
     the signum source it is an ``L1Distances`` view that streams the a_n
     from the trace's 2r step bytes on each pass, so no 2r ints are stored;
-    for the angle-sampled sources it is the sampler's own list, uncopied."""
+    for the angle-sampled sources it is the list that
+    ``reference.param_samples`` returns, uncopied."""
 
     radius: int
     source: DiscretizationSource
@@ -83,12 +84,7 @@ def pi_sequence(
         # imported here, so a signum `pi` or `sweep` child never compiles it
         from latticircle import reference
 
-        sampler = {
-            DiscretizationSource.PARAM_EXACT: reference.param_exact_samples,
-            DiscretizationSource.PARAM_FLOOR: reference.param_floor_samples,
-            DiscretizationSource.PARAM_ROUND: reference.param_round_samples,
-        }[source]
-        l1s = sampler(radius)
+        l1s = reference.param_samples(radius, source)
         low = min(l1s)
         if low <= 0:
             raise ValueError(f"nonpositive Manhattan distance {low} at radius {radius}")

@@ -2,10 +2,10 @@
 
 The angle samples place 2r points on the quarter circle at phi = n pi / (4r);
 the floor and round variants snap those samples to the lattice.  The
-``a_param_*`` functions define one sample each, with range checks.  The
-``param_*_samples`` functions return all 2r samples of a radius in one pass,
-with the same floating-point operations in the same order, so each sample
-equals its ``a_param_*`` value bit for bit.
+``a_param_*`` functions define one sample each, with range checks.
+``param_samples`` returns all 2r samples of a radius for one angle-sampled
+source in one pass, with the same floating-point operations in the same
+order, so each sample equals its ``a_param_*`` value bit for bit.
 
 The midpoint rasterizer is the textbook integer scheme with second-order
 increments, kept verbatim including the seam pixels its eight-way plotter
@@ -58,50 +58,37 @@ def a_param_round(r: int, n: int) -> int:
 _SAMPLE_BYTES = 40
 
 
-def _sample_count(r: int) -> int:
-    """2r, the number of samples of radius r, checked before any sampling:
-    the list of 2r samples needs ``_SAMPLE_BYTES`` per sample, 80r bytes,
-    which ``require_memory`` holds against physical memory."""
+def param_samples(r: int, source: DiscretizationSource | str) -> list:
+    """[a_param_<source>(r, n) for n in range(2r)] in one pass: floats for
+    param-exact, ints for param-floor and param-round.
+
+    ``source`` is read by its enum, so an unknown name raises ValueError
+    before any work, and so does signum, which is not angle-sampled.  The
+    radius is read with ``read_radius``.  The list of 2r samples needs
+    ``_SAMPLE_BYTES`` per sample, 80r bytes, which ``require_memory`` holds
+    against physical memory before any sampling.
+
+    Each comprehension evaluates phi_n's expression n * pi / (4r) once per
+    sample and binds it with := for cos and sin.  The operands r, 4r and n
+    are converted to float up front: an int operand of a float operation is
+    converted by the same PyLong_AsDouble that float() calls, so every
+    operation sees the same bits as in ``a_param_*``, while float-by-float
+    arithmetic runs on the interpreter's specialised fast paths."""
+    source = DiscretizationSource(source)
+    if source is DiscretizationSource.SIGNUM:
+        raise ValueError("signum is not an angle-sampled source")
     r = read_radius(r)
     require_memory(f"{2 * r} samples", 2 * r * _SAMPLE_BYTES, "for the sample list")
-    return 2 * r
-
-
-# Each comprehension below evaluates phi_n's expression n * pi / (4r) once
-# per sample and binds it with := for cos and sin.  The operands r, 4r and
-# n are converted to float up front: an int operand of a float operation is
-# converted by the same PyLong_AsDouble that float() calls, so every
-# operation sees the same bits as in ``a_param_*``, while float-by-float
-# arithmetic runs on the interpreter's specialised fast paths.
-
-
-def param_exact_samples(r: int) -> list[float]:
-    """[a_param_exact(r, n) for n in range(2r)], in one pass."""
-    count = _sample_count(r)
-    cos, sin, pi, rf, r4 = math.cos, math.sin, math.pi, float(r), float(4 * r)
-    return [rf * (cos(phi := n * pi / r4) + sin(phi)) for n in map(float, range(count))]
-
-
-def _snapped_samples(r: int, half: float) -> list[int]:
-    """[floor(r cos phi + half) + floor(r sin phi + half) for each phi_n]."""
-    count = _sample_count(r)
     cos, sin, pi, floor = math.cos, math.sin, math.pi, math.floor
     rf, r4 = float(r), float(4 * r)
+    if source is DiscretizationSource.PARAM_EXACT:
+        return [rf * (cos(phi := n * pi / r4) + sin(phi)) for n in map(float, range(2 * r))]
+    # each v = r cos phi or r sin phi is >= 0, so v + 0.0 == v and floor(v + 0.0) == floor(v)
+    half = 0.0 if source is DiscretizationSource.PARAM_FLOOR else 0.5
     return [
         floor(rf * cos(phi := n * pi / r4) + half) + floor(rf * sin(phi) + half)
-        for n in map(float, range(count))
+        for n in map(float, range(2 * r))
     ]
-
-
-def param_floor_samples(r: int) -> list[int]:
-    """[a_param_floor(r, n) for n in range(2r)], in one pass."""
-    # each v = r cos phi or r sin phi is >= 0, so v + 0.0 == v and floor(v + 0.0) == floor(v)
-    return _snapped_samples(r, 0.0)
-
-
-def param_round_samples(r: int) -> list[int]:
-    """[a_param_round(r, n) for n in range(2r)], in one pass."""
-    return _snapped_samples(r, 0.5)
 
 
 def midpoint_quadrant(r: int) -> list[Point]:

@@ -182,7 +182,9 @@ class L1Distances:
     its step bytes instead of stored: ``len`` is 2r, and each iteration
     runs accumulate(steps[:2r-1], initial=r) afresh at C speed, so the 2r
     ints are never alive at once.  It yields the ints of
-    ``QuadrantTrace.l1_dists`` and compares equal to that tuple.
+    ``QuadrantTrace.l1_dists`` and compares equal to that tuple, so it is
+    unhashable: it defines ``__eq__`` and no ``__hash__``, for which Python
+    sets ``__hash__`` to None.
 
     ``total`` and ``reciprocal_total`` reduce them from a_0..a_r alone, the
     first r steps: a_{2r-n} = a_n for 1 <= n <= 2r - 1 (see
@@ -204,8 +206,6 @@ class L1Distances:
         if not isinstance(other, (tuple, L1Distances)):
             return NotImplemented
         return len(self) == len(other) and all(map(eq, self, other))
-
-    __hash__ = None  # equal to a tuple, so unhashable
 
     def total(self) -> int:
         """sum(a_n) over the 2r points, an exact int: by the mirror,

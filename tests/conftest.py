@@ -1,5 +1,6 @@
 """Shared helpers: memoized traces so the suite builds each one once, an
-area oracle that does not walk, and a sign oracle in decimal arithmetic."""
+area oracle that does not walk, a sign oracle in decimal arithmetic, and
+the boundary radii of the hull walk."""
 
 from __future__ import annotations
 
@@ -8,6 +9,13 @@ import functools
 import math
 
 from latticircle.signum import CostVariant, QuadrantTrace, generate_quadrant
+
+# the two families of boundary radii for the hull walk's end column
+# k = isqrt((r^2 - 1) / 2): r^2 = 2k^2 + 1 puts f(k - 1, k) = 0, so k is the
+# last column that the walk may reach, and 2r^2 = (2k + 1)^2 + 1 puts
+# f(k, k) = 0, so the diagonal cell (k, k) lies on the tie
+END_COLUMN_TIES = (3, 17, 99, 577, 3363, 19_601, 114_243, 665_857)
+DIAGONAL_CELL_TIES = (5, 29, 169, 985, 5741, 33_461, 195_025, 1_136_689)
 
 
 @functools.lru_cache(maxsize=None)

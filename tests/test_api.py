@@ -11,9 +11,7 @@ from latticircle.reference import (
     DiscretizationSource,
     a_param_floor,
     midpoint_quadrant,
-    param_exact_samples,
-    param_floor_samples,
-    param_round_samples,
+    param_samples,
 )
 from latticircle.signum import CostVariant, QuadrantTrace, assemble_full_circle, generate_quadrant
 from latticircle.svg import render_path_svg
@@ -53,9 +51,9 @@ RADIUS_READERS = {
     "inner_outer_areas": inner_outer_areas,
     "midpoint_quadrant": midpoint_quadrant,
     "a_param_floor": lambda r: a_param_floor(r, 0),
-    "param_exact_samples": param_exact_samples,
-    "param_floor_samples": param_floor_samples,
-    "param_round_samples": param_round_samples,
+    "param_samples param-exact": lambda r: param_samples(r, "param-exact"),
+    "param_samples param-floor": lambda r: param_samples(r, "param-floor"),
+    "param_samples param-round": lambda r: param_samples(r, "param-round"),
     "render_path_svg": lambda r: render_path_svg(
         PointColumns((1, 0), (0, 1)), r, overlay_circle=True
     ),
@@ -95,6 +93,7 @@ SELECTOR_READERS = {
     "area_report": (lambda v: area_report(3, v), EXACT),
     "pi_sequence source": (lambda s: pi_sequence(3, s), PARAM_EXACT),
     "pi_sequence variant": (lambda v: pi_sequence(3, SIGNUM, v), EXACT),
+    "param_samples source": (lambda s: param_samples(3, s), PARAM_EXACT),
     "estimate estimator": (lambda e: estimate(3, e, SIGNUM), ARITHMETIC),
     "estimate source": (lambda s: estimate(3, ARITHMETIC, s), PARAM_EXACT),
     "estimate variant": (lambda v: estimate(3, ARITHMETIC, SIGNUM, v), EXACT),

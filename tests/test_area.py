@@ -7,7 +7,7 @@ from operator import gt
 
 import pytest
 
-from conftest import cached_trace, cell_centres_in_disc
+from conftest import DIAGONAL_CELL_TIES, END_COLUMN_TIES, cached_trace, cell_centres_in_disc
 from latticircle.area import (
     area_recursive,
     area_report,
@@ -266,6 +266,37 @@ def test_hull_runs_end_on_the_boundary_near_ten_to_the_ten(r):
     assert r * r == 2 * k * k + 1 or 2 * r * r == (2 * k + 1) ** 2 + 1
     for s in (0, 1):
         assert_runs_end_on_the_boundary(r, s, random_columns(r, s))
+
+
+def cells_by_the_hull_walk(r):
+    """|C|, the cells under the quarter path, from the s = 1 runs alone.
+
+    The run-height sum, taken as ``inner_outer_areas`` takes it, is
+    sum h_i over the columns 1..k, k = isqrt((r^2 - 1) // 2), where h_i is
+    the top of column i; column 0 holds r cells, so the columns 0..k hold
+    S0 = r + k + sum.  F is symmetric in i and j, so the rows 0..k hold S0
+    as well.  No cell has i, j > k, since F(k + 1, k + 1) > 0 once
+    2(k + 1)^2 > r^2 - 1, and every cell of the square i, j <= k is in C
+    but (k, k) when F(k, k) = 2k(k + 1) + 1 - r^2 > 0.  So
+    |C| = 2 S0 - (k + 1)^2 + [2k(k + 1) >= r^2]."""
+    k = math.isqrt((r * r - 1) // 2)
+    heights = 0
+    for a, b, m, j, _, _ in _hull_runs(r, 1, k):
+        heights += m * (a * j - ((a - 1) * (b + 1) >> 1) - b) + a * b * (m * (m + 1) >> 1)
+    s0 = r + k + heights
+    return 2 * s0 - (k + 1) ** 2 + (2 * k * (k + 1) >= r * r)
+
+
+def test_hull_walk_counts_the_cells_under_the_path():
+    for r in (*range(1, 2001), *END_COLUMN_TIES, *DIAGONAL_CELL_TIES):
+        assert cells_by_the_hull_walk(r) == area_recursive(generate_quadrant(r)), r
+
+
+@pytest.mark.slow
+def test_hull_walk_counts_the_cells_under_the_path_at_powers_of_two():
+    # up to 2^26 + 1, where the 2r step bytes of the oracle still fit
+    for r in (2**j + d for j in range(1, 27) for d in (-1, 0, 1)):
+        assert cells_by_the_hull_walk(r) == area_recursive(generate_quadrant(r)), r
 
 
 def test_inner_outer_rejects_bad_radius():

@@ -20,7 +20,7 @@ from latticircle import cli
 from latticircle.cli import format_real, parse_radii_spec, run
 from latticircle.estimators import estimate
 from latticircle.lattice import Point, PointColumns
-from latticircle.reference import midpoint_quadrant, param_exact_samples, param_floor_samples
+from latticircle.reference import midpoint_quadrant, param_samples
 from latticircle.signum import CostVariant, assemble_full_circle, generate_quadrant
 from latticircle.svg import render_path_svg
 
@@ -300,6 +300,15 @@ def test_pi_flags_sources_without_closed_form(capsys):
 
 def test_pi_rejects_midpoint_source(capsys):
     assert run(["pi", "--radius", "5", "--source", "midpoint"]) == 1
+
+
+def test_param_floor_origin_sample_exits_1(capsys):
+    # at r = 1 floor snaps the 45 degree sample to the origin: a_1 = 0
+    err = "nonpositive Manhattan distance 0 at radius 1\n"
+    assert run(["pi", "--radius", "1", "--source", "param-floor"]) == 1
+    assert capsys.readouterr() == ("", err)
+    assert run(["sweep", "--radii", "1,2", "--source", "param-floor"]) == 1
+    assert capsys.readouterr() == ("", err)
 
 
 def test_sweep_csv(tmp_path):
@@ -1095,16 +1104,16 @@ def test_sample_list_need_counts_the_samples_not_only_their_pointers(
     assert capsys.readouterr().out.startswith(f"50000,arithmetic,{source},")
 
 
-@pytest.mark.parametrize("source", [param_exact_samples, param_floor_samples])
+@pytest.mark.parametrize("source", ["param-exact", "param-floor"])
 def test_sample_list_need_is_near_what_the_list_holds(source):
     # the stated 40 B a sample against 32 B held per float sample and 40 B per
     # int sample on Python 3.11 (a little less when freed floats are reused);
     # the 16r bytes of pointers were half of either
     r = 50_000
-    source(5)
+    param_samples(5, source)
     tracemalloc.start()
     try:
-        samples = source(r)
+        samples = param_samples(r, source)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

@@ -26,12 +26,7 @@ from latticircle.estimators import (
     sweep,
     sweep_target,
 )
-from latticircle.reference import (
-    DiscretizationSource,
-    param_exact_samples,
-    param_floor_samples,
-    param_round_samples,
-)
+from latticircle.reference import DiscretizationSource, param_samples
 from latticircle.signum import CostVariant
 
 SIGNUM = DiscretizationSource.SIGNUM
@@ -83,6 +78,14 @@ def test_signum_view_streams_the_trace():
 @pytest.mark.slow
 def test_signum_view_streams_the_trace_at_a_million():
     assert_view_streams_the_trace(10**6, cached_trace(10**6))
+
+
+def test_signum_view_is_unhashable():
+    # it compares equal to a tuple of the same ints, so no hash could agree with both
+    view = pi_sequence(5, SIGNUM).l1_values
+    assert view == cached_trace(5).l1_dists
+    with pytest.raises(TypeError, match="unhashable type: 'L1Distances'"):
+        hash(view)
 
 
 MEAN_RADII = sorted({*range(1, 3001), *(2**k + d for k in range(2, 22) for d in (-1, 1))})
@@ -163,24 +166,17 @@ def test_sequence_shape_and_ratio_invariant(source, r):
         assert (4 * r / a) * a == pytest.approx(4 * r, rel=1e-12)
 
 
-SAMPLERS = {
-    PARAM_EXACT: param_exact_samples,
-    PARAM_FLOOR: param_floor_samples,
-    PARAM_ROUND: param_round_samples,
-}
-
-
 @pytest.mark.parametrize("source", [PARAM_EXACT, PARAM_FLOOR, PARAM_ROUND])
 def test_param_sequence_equals_the_per_sample_comprehension(source):
-    # each sampler equals the per-sample comprehension over a_param_* bit for
-    # bit (tests/test_reference.py, on a superset of these radii), so the
-    # sequence need only hand on the sampler's output unchanged.  param-floor
-    # snaps the r = 1 diagonal sample to the origin and is rejected.  Floats
-    # are compared by their IEEE bytes, which also tells -0.0 from 0.0, and
-    # the type check tells 2 from 2.0
+    # param_samples equals the per-sample comprehension over a_param_* bit
+    # for bit (tests/test_reference.py, on a superset of these radii), so the
+    # sequence need only hand on its output unchanged.  param-floor snaps the
+    # r = 1 diagonal sample to the origin and is rejected.  Floats are
+    # compared by their IEEE bytes, which also tells -0.0 from 0.0, and the
+    # type check tells 2 from 2.0
     for r in [*range(2, 301), *(2**k + d for k in range(9, 15) for d in (-1, 1))]:
         got = pi_sequence(r, source).l1_values
-        want = SAMPLERS[source](r)
+        want = param_samples(r, source)
         if source is PARAM_EXACT:
             assert set(map(type, got)) == {float}, r
             assert array("d", got).tobytes() == array("d", want).tobytes(), r

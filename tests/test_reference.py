@@ -12,9 +12,7 @@ from latticircle.reference import (
     a_param_floor,
     a_param_round,
     midpoint_quadrant,
-    param_exact_samples,
-    param_floor_samples,
-    param_round_samples,
+    param_samples,
     phi_n,
 )
 
@@ -86,28 +84,38 @@ def test_exact_samples_equal_the_per_sample_definition_bit_for_bit():
     # array("d") holds each float's IEEE bits, so equal bytes are equal float.hex
     for r in SAMPLER_RADII:
         want = array("d", map(a_param_exact, repeat(r), range(2 * r)))
-        assert array("d", param_exact_samples(r)).tobytes() == want.tobytes(), r
+        got = param_samples(r, "param-exact")
+        assert set(map(type, got)) == {float}, r
+        assert array("d", got).tobytes() == want.tobytes(), r
 
 
 @pytest.mark.parametrize(
-    "samples, per_sample",
-    [(param_floor_samples, a_param_floor), (param_round_samples, a_param_round)],
+    "source, per_sample",
+    [("param-floor", a_param_floor), ("param-round", a_param_round)],
+    ids=["param-floor", "param-round"],
 )
-def test_snapped_samples_equal_the_per_sample_definition(samples, per_sample):
+def test_snapped_sources_equal_the_per_sample_definition(source, per_sample):
     for r in SAMPLER_RADII:
-        got = samples(r)
+        got = param_samples(r, source)
         assert got == list(map(per_sample, repeat(r), range(2 * r))), r
         assert set(map(type, got)) == {int}, r
 
 
-@pytest.mark.parametrize("samples", [param_exact_samples, param_floor_samples, param_round_samples])
-def test_samplers_check_the_radius_before_sampling(samples):
+@pytest.mark.parametrize("source", ["param-exact", "param-floor", "param-round"])
+def test_samplers_check_the_radius_before_sampling(source):
     with pytest.raises(ValueError):
-        samples(0)
+        param_samples(0, source)
     # past sys.maxsize the 2r samples cannot be indexed: refused, not attempted
     for r in (sys.maxsize // 2 + 1, 10**30):
         with pytest.raises(OverflowError, match="exceed the largest index"):
-            samples(r)
+            param_samples(r, source)
+
+
+def test_param_samples_refuse_signum():
+    # the source is read first, so a radius that could not be sampled is not reached
+    for r in (3, 10**30):
+        with pytest.raises(ValueError, match="^signum is not an angle-sampled source$"):
+            param_samples(r, "signum")
 
 
 def test_midpoint_r1():

@@ -7,6 +7,7 @@ import os
 import pathlib
 import shutil
 import signal
+import statistics
 import subprocess
 import sys
 import time
@@ -115,6 +116,30 @@ def test_area_convergence_scales_the_arithmetic_mean_error(tmp_path):
         want = (float(exact) - math.pi) * r**1.5
         assert float(row.split(",")[-1]) == pytest.approx(want, rel=0, abs=1e-9), r
         assert float(line.split()[-1]) == pytest.approx(want, abs=5e-7), r
+
+
+def test_area_convergence_fits_the_mean_error_to_the_lattice_error(tmp_path):
+    # the last line fits (A - pi) r^2 = alpha E + beta, E = 4 area - pi (r^2 - 1/2),
+    # recomputed here from the CSV's area and (A-pi)*r^1.5 columns
+    out = tmp_path / "area.csv"
+    printed = script("area_convergence.py", "--min-radius", "10", "--max-radius", "300",
+                     "--samples", "12", "--out", str(out))
+    header, *rows = out.read_text().splitlines()
+    assert header.split(",")[1] == "area" and header.split(",")[-1] == "(A-pi)*r^1.5"
+    cells = [row.split(",") for row in rows]
+    es = [4 * int(c[1]) - math.pi * (int(c[0]) ** 2 - 0.5) for c in cells]
+    errs = [float(c[-1]) * math.sqrt(int(c[0])) for c in cells]
+    alpha, beta = statistics.linear_regression(es, errs)
+    sd = math.sqrt(sum((y - alpha * e - beta) ** 2 for e, y in zip(es, errs)) / (len(rows) - 2))
+    head, fit = printed.splitlines()[-1].split(": ")
+    assert head == f"fit (A-pi)*r^2 = alpha*E + beta over {len(rows)} radii"
+    got = dict(field.split("=") for field in fit.split())
+    assert got.keys() == {"alpha", "beta", "residual_sd"}
+    for name, want in (("alpha", alpha), ("beta", beta), ("residual_sd", sd)):
+        assert float(got[name]) == pytest.approx(want, rel=1e-5), name
+    # two radii leave no degree of freedom for the residual: no fit line
+    printed = script("area_convergence.py", "--max-radius", "60", "--samples", "2")
+    assert not printed.splitlines()[-1].startswith("fit")
 
 
 def test_render_gallery_writes_eight_svgs(tmp_path):

@@ -8,7 +8,13 @@ from operator import eq, neg
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cached_trace, cell_centres_in_disc, decimal_step_sign
+from conftest import (
+    DIAGONAL_CELL_TIES,
+    END_COLUMN_TIES,
+    cached_trace,
+    cell_centres_in_disc,
+    decimal_step_sign,
+)
 from latticircle.area import area_recursive
 from latticircle.lattice import PointColumns, check_path
 from latticircle.signum import (
@@ -446,14 +452,6 @@ def test_exact_trace_mirrors_in_the_diagonal():
 def test_predicate_traces_mirror_in_the_diagonal(variant, radii):
     for r in radii:
         assert is_mirrored(generate_quadrant(r, variant).steps), (variant, r)
-
-
-# the two families of boundary radii for the hull walk's end column
-# k = isqrt((r^2 - 1) / 2): r^2 = 2k^2 + 1 puts f(k - 1, k) = 0, so k is the
-# last column that the walk may reach, and 2r^2 = (2k + 1)^2 + 1 puts
-# f(k, k) = 0, so the diagonal cell (k, k) lies on the tie
-END_COLUMN_TIES = (3, 17, 99, 577, 3363, 19_601, 114_243, 665_857)
-DIAGONAL_CELL_TIES = (5, 29, 169, 985, 5741, 33_461, 195_025, 1_136_689)
 
 
 def test_boundary_radii_solve_their_equations():

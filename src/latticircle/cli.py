@@ -27,8 +27,8 @@ from latticircle.choices import CostVariant, DiscretizationSource, Estimator
 # such as a wrapper that a tracer put on `cli.<name>` before the command ran.
 _NAMES = {
     "lattice": ("PointColumns", "check_path", "read_radius", "require_memory"),
-    "signum": ("assemble_full_circle", "circle_columns", "generate_quadrant", "mirror",
-               "require_step_memory"),
+    "signum": ("L1Distances", "assemble_full_circle", "circle_columns", "generate_quadrant",
+               "mirror", "require_step_memory"),
     "svg": ("render_path_svg",),
     # pi_sequence and the two means are never called here: perfbench/traced.py
     # wraps them by these names.  A stats channel that replaces the wrappers
@@ -127,7 +127,9 @@ def _rows_csv(trace, full: bool) -> str:
     xs = list(map(str, trace.xs))
     xs, ys = (_cli.circle_columns(xs, ["-" + x for x in xs], "0") if full
               else (xs, _cli.mirror(xs, "0")))
-    tails = [f"{s},{a},{S}" for s, a, S in zip(trace.steps, trace.l1_dists, trace.sign_sums)]
+    r, steps = trace.radius, trace.steps
+    # S_n = a_{n+1} - r = a_n + s_n - r
+    tails = [f"{s},{a},{a + s - r}" for s, a in zip(steps, _cli.L1Distances(r, steps))]
     rows = map(",".join, zip(map(str, range(len(xs))), xs, ys, cycle(tails)))
     blocks = iter(lambda: "\n".join(islice(rows, _ROWS)), "")
     return "\n".join(chain(("n,x,y,s,a,S",), blocks, ("",)))
@@ -143,8 +145,9 @@ def _full_circle_csv(trace) -> str:
 
 # Lower bounds of the bytes each output point holds at the peak, CSV and SVG
 # alike: tracemalloc peaks of `generate` to a file at r = 10^4 .. 3 * 10^5
-# read 295-350 B per point for the quadrant and 155-203 for the full circle.
-_POINT_BYTES = {"quadrant": 250, "full": 150}
+# read 257-325 B per point for the quadrant and 137-203 for the full circle,
+# the full CSV's least near r = 2 * 10^4.
+_POINT_BYTES = {"quadrant": 250, "full": 130}
 
 
 def _cmd_generate(args) -> int:

@@ -128,16 +128,8 @@ class QuadrantTrace:
     Every trace mirrors in the diagonal: s_{2r-1-n} = -s_n, so point 2r - n
     is point n with x and y swapped.  ``_walk_hull`` proves it and
     decides only the first half; ``_walk_predicate`` asserts it, so it
-    holds for every variant.  The views build their second halves from it,
-    and mirrored entries share their int objects:
-
-    * ``l1_dists`` and ``sign_sums`` read the first half, ``steps[:r]``:
-      a_{2r-n} = a_n for 1 <= n <= 2r - 1, and S_n = a_{n+1} - r gives
-      S_{2r-2-n} = S_n for 0 <= n <= 2r - 2, while S_{2r-1} = 0 because
-      the r up steps and the r left steps cancel;
-    * ``ys`` mirrors ``xs`` by ``mirror``.
-
-    Reductions may likewise read ``steps[:r]`` alone.
+    holds for every variant.  ``ys`` mirrors ``xs`` by ``mirror``, sharing
+    its int objects, and reductions may read ``steps[:r]`` alone.
     """
 
     def __init__(self, radius: int, variant: CostVariant, steps: array) -> None:
@@ -151,13 +143,11 @@ class QuadrantTrace:
 
     @cached_property
     def sign_sums(self) -> tuple[int, ...]:
-        half = tuple(accumulate(self.steps[: self.radius]))
-        return half + half[-2::-1] + (0,)
+        return tuple(accumulate(self.steps))
 
     @cached_property
     def l1_dists(self) -> tuple[int, ...]:
-        half = tuple(_distances(self.steps, self.radius, self.radius))
-        return half + half[-2:0:-1]
+        return tuple(L1Distances(self.radius, self.steps))
 
     @cached_property
     def xs(self) -> tuple[int, ...]:
@@ -181,14 +171,15 @@ class L1Distances:
     """The Manhattan distances a_0, ..., a_{2r-1} of a trace, streamed from
     its step bytes instead of stored: ``len`` is 2r, and each iteration
     runs accumulate(steps[:2r-1], initial=r) afresh at C speed, so the 2r
-    ints are never alive at once.  It yields the ints of
-    ``QuadrantTrace.l1_dists`` and compares equal to that tuple, so it is
-    unhashable: it defines ``__eq__`` and no ``__hash__``, for which Python
-    sets ``__hash__`` to None.
+    ints are never alive at once.  It is the one producer of a_n:
+    ``QuadrantTrace.l1_dists`` is its tuple, which it compares equal to, so
+    it is unhashable: it defines ``__eq__`` and no ``__hash__``, for which
+    Python sets ``__hash__`` to None.
 
     ``total`` and ``reciprocal_total`` reduce them from a_0..a_r alone, the
-    first r steps: a_{2r-n} = a_n for 1 <= n <= 2r - 1 (see
-    ``QuadrantTrace``), so every a_n with 0 < n < r stands for two."""
+    first r steps: point 2r - n mirrors point n (see ``QuadrantTrace``), so
+    a_{2r-n} = a_n for 1 <= n <= 2r - 1, and every a_n with 0 < n < r
+    stands for two."""
 
     __slots__ = ("radius", "steps")
 

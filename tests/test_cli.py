@@ -136,6 +136,42 @@ def test_generate_approx_below_admissible_radius(capsys):
     assert "approx requires radius ≥ 5" in err
 
 
+def test_approx_below_admissible_radius_on_every_walking_command(tmp_path, capsys):
+    # the domain is the signum walk's, so every command that walks refuses
+    # r < 5 with exit 1 and writes nothing, and param sources never walk
+    out = tmp_path / "out.csv"
+    for argv in (
+        ["pi", "--cost", "approx", "--radius", "3"],
+        ["area", "--cost", "approx", "--radius", "3"],
+        ["area", "--cost", "approx", "--radius", "3", "--with-bounds"],
+        ["sweep", "--cost", "approx", "--radii", "10,3"],
+        ["sweep", "--cost", "approx", "--radii", "10,3", "--out", str(out)],
+    ):
+        assert run(argv) == 1, argv
+        assert capsys.readouterr() == ("", "approx requires radius ≥ 5\n"), argv
+    assert not out.exists()
+    argv = ["sweep", "--cost", "approx", "--radii", "3,10", "--source", "param-floor"]
+    assert run(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+def test_generate_csv_leaves_no_distance_or_sum_tuple_on_the_trace(monkeypatch, tmp_path):
+    # the s,a,S tail streams from L1Distances, so neither cached tuple is built
+    traces = []
+
+    def recording(*args):
+        traces.append(generate_quadrant(*args))
+        return traces[-1]
+
+    monkeypatch.setattr(cli, "generate_quadrant", recording)
+    for extent in ("quadrant", "full"):
+        out = tmp_path / f"{extent}.csv"
+        assert run(["generate", "--radius", "50", "--extent", extent, "--out", str(out)]) == 0
+    assert len(traces) == 2
+    for trace in traces:
+        assert "l1_dists" not in vars(trace) and "sign_sums" not in vars(trace)
+
+
 def test_validate_full_circle_round_trip(tmp_path, capsys):
     path = tmp_path / "circle.csv"
     assert run(["generate", "--radius", "5", "--extent", "full", "--out", str(path)]) == 0
@@ -926,7 +962,7 @@ def test_generate_output_past_physical_memory_is_refused_before_the_walk(
     out = tmp_path / "out"
     argv = ["generate", "--radius", str(10**5), *GENERATE_OUTPUTS[output], "--out", str(out)]
     assert run(argv) == 3
-    points, need = (800000, 120000000) if output.startswith("full") else (200000, 50000000)
+    points, need = (800000, 104000000) if output.startswith("full") else (200000, 50000000)
     assert capsys.readouterr() == (
         "",
         f"arithmetic failure: {points} points need {need} bytes for the {output},"
@@ -935,12 +971,19 @@ def test_generate_output_past_physical_memory_is_refused_before_the_walk(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("output", GENERATE_OUTPUTS)
-def test_generate_output_need_is_a_lower_bound(output, tmp_path):
+@pytest.mark.parametrize(
+    "output, r",
+    [
+        *(pytest.param(output, 10**4, id=output) for output in GENERATE_OUTPUTS),
+        *(pytest.param(output, 20_000, id=f"{output} r=20000")
+          for output in ("full CSV", "full SVG")),
+    ],
+)
+def test_generate_output_need_is_a_lower_bound(output, r, tmp_path):
     # the stated bytes per point stay below what the output really holds,
-    # so no radius whose output fits is refused
+    # so no radius whose output fits is refused; the full CSV holds least
+    # per point near r = 2 * 10^4
     extra = GENERATE_OUTPUTS[output]
-    r = 10**4
     count = 8 * r if "full" in extra else 2 * r
     run(["generate", "--radius", "5", *extra, "--out", str(tmp_path / "warm")])
     tracemalloc.start()

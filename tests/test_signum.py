@@ -534,14 +534,6 @@ def full_length_ys(trace):
     return tuple(accumulate(ups[:-1], initial=0))
 
 
-def full_length_sign_sums(trace):
-    return tuple(accumulate(trace.steps))
-
-
-def full_length_l1_dists(trace):
-    return tuple(accumulate(trace.steps[:-1], initial=trace.radius))
-
-
 def full_length_circle(xs, ys):
     """The four quarter turns, each column negated by ``map(neg, ...)``; an
     iterator, so no second 8r-tuple is held."""
@@ -554,15 +546,13 @@ def assert_views_match_full_length(trace):
     label = (trace.variant, trace.radius)
     ys = full_length_ys(trace)
     assert trace.ys == ys, label
-    assert trace.sign_sums == full_length_sign_sums(trace), label
-    assert trace.l1_dists == full_length_l1_dists(trace), label
     circle = assemble_full_circle(trace).points
     assert len(circle) == 8 * trace.radius, label
     assert all(map(eq, zip(circle.xs, circle.ys), full_length_circle(trace.xs, ys))), label
 
 
 @pytest.mark.parametrize("variant", list(CostVariant))
-def test_l1_dists_from_the_half_match_the_stream(variant):
+def test_mirrored_ys_and_full_circle_match_the_full_length_walk(variant):
     radii = range(5 if variant is CostVariant.APPROX else 1, 601)
     if variant is CostVariant.EXACT:
         radii = [*radii, *(2**k + e for k in range(1, 18) for e in (-1, 1))]
@@ -573,9 +563,8 @@ def test_l1_dists_from_the_half_match_the_stream(variant):
 def test_mirrored_views_share_their_ints():
     r = 1000
     trace = generate_quadrant(r)
-    xs, ys, sign_sums = trace.xs, trace.ys, trace.sign_sums
+    xs, ys = trace.xs, trace.ys
     assert all(ys[2 * r - n] is xs[n] for n in range(1, 2 * r))
-    assert all(sign_sums[2 * r - 2 - n] is sign_sums[n] for n in range(2 * r - 1))
 
 
 @pytest.mark.slow
@@ -585,4 +574,3 @@ def test_half_walk_and_area_exhaustively():
         assert trace.steps == full_walk_midpoint(r), r
         assert area_recursive(trace) == cell_centres_in_disc(r), r
         assert trace.ys == full_length_ys(trace), r
-        assert trace.sign_sums == full_length_sign_sums(trace), r

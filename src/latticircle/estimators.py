@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Collection, NamedTuple, Sequence
 
 from latticircle.choices import CostVariant, DiscretizationSource, Estimator
 from latticircle.lattice import read_radius
-from latticircle.signum import L1Distances, generate_quadrant
+from latticircle.signum import L1Distances, _require_approx_radius, generate_quadrant
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -74,8 +74,8 @@ def pi_sequence(
 
     Only an angle-sampled source can give a sample a_n <= 0, which raises
     ValueError.  The signum walk never visits the origin, so every a_n >= 1
-    (``generate_quadrant``'s proof) and its samples are not scanned; the
-    cost variants give the same trace."""
+    (``generate_quadrant``'s proof) and its samples are not scanned.  Every
+    cost variant runs the same hull walk, so they give the same trace."""
     radius = read_radius(radius)
     source, variant = DiscretizationSource(source), CostVariant(variant)
     if source is DiscretizationSource.SIGNUM:
@@ -216,7 +216,6 @@ def sweep(
     estimator, source = Estimator(estimator), DiscretizationSource(source)
     variant = CostVariant(variant)
     radii = [*map(read_radius, radii)]
-    approx = source is DiscretizationSource.SIGNUM and variant is CostVariant.APPROX
-    if approx and min(radii) < 5:
-        raise ValueError("approx requires radius ≥ 5")
+    if source is DiscretizationSource.SIGNUM and variant is CostVariant.APPROX:
+        _require_approx_radius(min(radii))
     return [estimate(r, estimator, source, variant) for r in radii]

@@ -7,7 +7,7 @@ roots are resolved by repeated squaring in integer arithmetic, so every
 platform produces the same trace and no radius overflows (Python integers
 are unbounded).
 
-Three equivalent step deciders are provided as the reference predicates:
+Three equivalent step deciders are provided as the paper's predicates:
 
 * ``cost_exact``     compares the radial deviations of the two candidate
                      points directly,
@@ -16,11 +16,14 @@ Three equivalent step deciders are provided as the reference predicates:
 * ``cost_approx``    drops the square roots altogether and keeps only the
                      quadratic term; it is admitted for radius >= 5.
 
-The exact trace itself is produced by ``_walk_hull``, whose decisions equal
-``cost_exact``'s on every state (the proof is in ``generate_quadrant``).  It
-reads the path off the convex hull of the cells the path encloses, which
-has O(r^(2/3)) edges, found by the Stern-Brocot walk ``_hull_runs``, and
-writes each edge's steps as one repeated byte pattern.  A trace stores one
+The trace of every variant is produced by ``_walk_hull``, whose decisions
+equal each predicate's on every state the walk reaches (the proofs are in
+``generate_quadrant`` and ``cost_simplified``), so the variant only labels
+the trace.  It reads the path off the convex hull of the cells the path
+encloses, which has O(r^(2/3)) edges, found by the Stern-Brocot walk
+``_hull_runs``, and writes each edge's steps as one repeated byte pattern.
+``_walk_predicate``, which calls a predicate at every step, is kept as the
+reference walker that the tests compare with it.  A trace stores one
 signed byte per step; points, distances and running sums are derived from
 it.
 """
@@ -79,6 +82,14 @@ def cost_simplified(a: int, c: int, r: int) -> int:
     the step goes left exactly when 2 r^2 (s - 2 r^2) > a^2.  Equality is
     the exact tie: the inner expression is 0 and -sgn(0) = +1.  On the path
     c equals r - n - 1 at step n and may be negative; only c^2 enters.
+
+    It decides as ``cost_approx``'s rule, up exactly when
+    a^2 + c^2 + 1 <= 2 r^2, on every integer state with a >= 1 and r >= 1.  Put e = a^2 + c^2 + 1 - 2 r^2.  If e <= 0, both step up:
+    2 r^2 e <= 0 < a^2.  If e >= 1, approx steps left, and this rule steps
+    up only when 2 r^2 e <= a^2.  That needs a^2 >= 2 r^2, and then
+    2 r^2 (a^2 + 1 - 2 r^2) <= 2 r^2 e <= a^2, that is
+    (2 r^2 - 1)(a^2 - 2 r^2) <= 0, which forces a^2 = 2 r^2.  No integers
+    satisfy that, as sqrt(2) is irrational.
     """
     if r < 1:
         raise ValueError("radius must be >= 1")
@@ -86,6 +97,12 @@ def cost_simplified(a: int, c: int, r: int) -> int:
         raise ValueError("cost_simplified needs a = x + y >= 1")
     rr = r * r
     return -1 if 2 * rr * (a * a + c * c + 1 - 2 * rr) > a * a else 1
+
+
+def _require_approx_radius(r: int) -> None:
+    """Raise ValueError below approx's documented domain, r >= 5."""
+    if r < 5:
+        raise ValueError("approx requires radius ≥ 5")
 
 
 def cost_approx(a: int, c: int, r: int) -> int:
@@ -96,12 +113,11 @@ def cost_approx(a: int, c: int, r: int) -> int:
     the quadratic equals 2d, with d = x^2 - x + y^2 + y + 1 - r^2 the
     midpoint decision variable, so this is the midpoint rule, and it
     agrees with ``cost_exact`` at every radius r >= 1 (see
-    ``generate_quadrant``).  The
-    r >= 5 guard is the domain the paper documents for this variant, not a
-    correctness bound.
+    ``generate_quadrant``).  The r >= 5 guard, ``_require_approx_radius``,
+    is the domain the paper documents for this variant, not a correctness
+    bound.
     """
-    if r < 5:
-        raise ValueError("approx requires radius ≥ 5")
+    _require_approx_radius(r)
     if a < 1:
         raise ValueError("cost_approx needs a = x + y >= 1")
     return 1 if a * a + c * c + 1 <= 2 * r * r else -1
@@ -126,10 +142,11 @@ class QuadrantTrace:
     including n, and ``xs``, ``ys``, ``points`` the coordinates.
 
     Every trace mirrors in the diagonal: s_{2r-1-n} = -s_n, so point 2r - n
-    is point n with x and y swapped.  ``_walk_hull`` proves it and
-    decides only the first half; ``_walk_predicate`` asserts it, so it
-    holds for every variant.  ``ys`` mirrors ``xs`` by ``mirror``, sharing
-    its int objects, and reductions may read ``steps[:r]`` alone.
+    is point n with x and y swapped.  ``_walk_hull``, which every variant
+    runs, proves it and decides only the first half; the reference walker
+    ``_walk_predicate`` asserts it of each predicate's walk.  ``ys``
+    mirrors ``xs`` by ``mirror``, sharing its int objects, and reductions
+    may read ``steps[:r]`` alone.
     """
 
     def __init__(self, radius: int, variant: CostVariant, steps: array) -> None:
@@ -392,8 +409,12 @@ def _walk_hull(r: int) -> array:
 
 
 def _walk_predicate(r: int, decide) -> array:
-    """Quadrant steps chosen by a reference predicate decide(a, c, r) in
-    diagonal coordinates, called once per step.
+    """The reference walker: quadrant steps chosen by a predicate
+    decide(a, c, r) in diagonal coordinates, called once per step.
+
+    No variant runs it: ``generate_quadrant`` runs ``_walk_hull`` for all
+    three, and the tests compare this walk with that one for the paper's
+    predicates ``cost_simplified`` and ``cost_approx``.
 
     Step n is taken at a = x + y and c = r - n - 1; an up step raises a by
     one and a left step lowers it by one."""
@@ -431,10 +452,14 @@ def generate_quadrant(r: int, variant: CostVariant | str = CostVariant.EXACT) ->
     So does a radius whose 2r step bytes exceed physical memory, with
     MemoryError from ``require_memory``.
 
-    ``simplified`` and ``approx`` call their predicate at every step;
-    ``exact`` runs ``_walk_hull``, which steps up at (x, y) exactly when
-    d = x^2 - x + y^2 + y + 1 - r^2 <= 0, the midpoint rule.  That rule
-    decides exactly as ``cost_exact`` does, by the following argument
+    Every variant runs ``_walk_hull``, which steps up at (x, y) exactly
+    when d = x^2 - x + y^2 + y + 1 - r^2 <= 0, the midpoint rule, so
+    ``variant`` only labels the trace; ``approx`` keeps its documented
+    domain r >= 5, refused before the step array is allocated.  The three
+    predicates decide as the midpoint rule on every state the walk reaches:
+    ``cost_approx``'s quadratic is 2d there, ``cost_simplified`` decides as
+    ``cost_approx`` on every integer state (its docstring), and the midpoint
+    rule decides exactly as ``cost_exact`` does, by the following argument
     (compare McIlroy, "Best approximate circles on integer grids", ACM TOG
     1983).
 
@@ -462,14 +487,10 @@ def generate_quadrant(r: int, variant: CostVariant | str = CostVariant.EXACT) ->
     differ there for r = 1, but the walk never visits it.
     """
     r, variant = read_radius(r), CostVariant(variant)
+    if variant is CostVariant.APPROX:
+        _require_approx_radius(r)
     require_step_memory(r)
-    if variant is CostVariant.EXACT:
-        steps = _walk_hull(r)
-    elif variant is CostVariant.SIMPLIFIED:
-        steps = _walk_predicate(r, cost_simplified)
-    else:
-        steps = _walk_predicate(r, cost_approx)
-    return QuadrantTrace(radius=r, variant=variant, steps=steps)
+    return QuadrantTrace(radius=r, variant=variant, steps=_walk_hull(r))
 
 
 class CirclePath(NamedTuple):

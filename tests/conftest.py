@@ -8,7 +8,7 @@ import decimal
 import functools
 import math
 
-from latticircle.signum import CostVariant, QuadrantTrace, generate_quadrant
+from latticircle.signum import QuadrantTrace, generate_quadrant
 
 # the two families of boundary radii for the hull walk's end column
 # k = isqrt((r^2 - 1) / 2): r^2 = 2k^2 + 1 puts f(k - 1, k) = 0, so k is the
@@ -19,8 +19,8 @@ DIAGONAL_CELL_TIES = (5, 29, 169, 985, 5741, 33_461, 195_025, 1_136_689)
 
 
 @functools.lru_cache(maxsize=None)
-def cached_trace(r: int, variant: CostVariant = CostVariant.EXACT) -> QuadrantTrace:
-    return generate_quadrant(r, variant)
+def cached_trace(r: int) -> QuadrantTrace:
+    return generate_quadrant(r)
 
 
 def cell_centres_in_disc(r: int) -> int:

@@ -23,7 +23,14 @@ from latticircle.estimators import (
 )
 from latticircle.lattice import check_path
 from latticircle.reference import DiscretizationSource, midpoint_quadrant
-from latticircle.signum import CostVariant, assemble_full_circle
+from latticircle.signum import (
+    CostVariant,
+    QuadrantTrace,
+    _walk_predicate,
+    assemble_full_circle,
+    cost_approx,
+    cost_simplified,
+)
 
 SIGNUM = DiscretizationSource.SIGNUM
 
@@ -82,7 +89,8 @@ def test_acceptance_2_cost_variant_equivalence(verdict):
         bad = []
         for r in range(1, 513):
             exact = cached_trace(r)
-            simplified = cached_trace(r, CostVariant.SIMPLIFIED)
+            steps = _walk_predicate(r, cost_simplified)
+            simplified = QuadrantTrace(r, CostVariant.SIMPLIFIED, steps)
             n = first_sign_diff(exact, simplified)
             if n is None:
                 assert exact.points == simplified.points
@@ -90,7 +98,7 @@ def test_acceptance_2_cost_variant_equivalence(verdict):
                 bad.append(("simplified", r, n, exact.l1_dists[n], r - n - 1))
         for r in range(5, 513):
             exact = cached_trace(r)
-            approx = cached_trace(r, CostVariant.APPROX)
+            approx = QuadrantTrace(r, CostVariant.APPROX, _walk_predicate(r, cost_approx))
             n = first_sign_diff(exact, approx)
             if n is None:
                 assert exact.points == approx.points

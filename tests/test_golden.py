@@ -62,7 +62,7 @@ FAMILIES = {
         for estimator in ("arithmetic", "harmonic")
         for source in SOURCES
     },
-    # the reference predicates, each called at every step (approx needs r >= 5)
+    # the other two cost variants, which run the same hull walk (approx needs r >= 5)
     "sweep harmonic signum simplified": [[
         "sweep", "--radii", "5:256:1", "--estimator", "harmonic", "--cost", "simplified",
     ]],

@@ -15,10 +15,13 @@ from conftest import (
     cell_centres_in_disc,
     decimal_step_sign,
 )
+from latticircle import signum
 from latticircle.area import area_recursive
 from latticircle.lattice import PointColumns, check_path
 from latticircle.signum import (
     CostVariant,
+    QuadrantTrace,
+    _walk_hull,
     _walk_predicate,
     assemble_full_circle,
     circle_columns,
@@ -178,10 +181,19 @@ def test_trace_invariants(r):
     assert_trace_invariants(cached_trace(r))
 
 
+# the paper's predicate of each variant, which only the reference walker calls
+PREDICATE = {CostVariant.SIMPLIFIED: cost_simplified, CostVariant.APPROX: cost_approx}
+
+
+def predicate_trace(r, variant):
+    """The trace of ``variant``'s predicate walked by the reference walker."""
+    return QuadrantTrace(r, variant, _walk_predicate(r, PREDICATE[variant]))
+
+
 @pytest.mark.parametrize("r", list(range(1, 65)))
 def test_simplified_variant_reproduces_exact(r):
     exact = cached_trace(r)
-    simplified = cached_trace(r, CostVariant.SIMPLIFIED)
+    simplified = predicate_trace(r, CostVariant.SIMPLIFIED)
     assert simplified.signs == exact.signs
     assert simplified.points == exact.points
 
@@ -189,7 +201,7 @@ def test_simplified_variant_reproduces_exact(r):
 @pytest.mark.parametrize("r", list(range(5, 65)))
 def test_approx_variant_reproduces_exact(r):
     exact = cached_trace(r)
-    approx = cached_trace(r, CostVariant.APPROX)
+    approx = predicate_trace(r, CostVariant.APPROX)
     assert approx.signs == exact.signs
     assert approx.points == exact.points
 
@@ -243,7 +255,7 @@ def walk_with(decide, r):
 )
 def test_trimmed_predicates_walk_as_before(variant, before, lowest):
     for r in [*range(lowest, 400), *(2**k + d for k in range(9, 16) for d in (-1, 1))]:
-        assert list(generate_quadrant(r, variant).steps) == walk_with(before, r), r
+        assert list(_walk_predicate(r, PREDICATE[variant])) == walk_with(before, r), r
 
 
 def test_predicate_walk_asserts_its_end_point():
@@ -451,7 +463,35 @@ def test_exact_trace_mirrors_in_the_diagonal():
 )
 def test_predicate_traces_mirror_in_the_diagonal(variant, radii):
     for r in radii:
-        assert is_mirrored(generate_quadrant(r, variant).steps), (variant, r)
+        assert is_mirrored(_walk_predicate(r, PREDICATE[variant])), (variant, r)
+
+
+def raise_if_called(*args):
+    raise AssertionError("a variant walked by another walker than the hull walk")
+
+
+def test_every_variant_runs_the_one_hull_walk(monkeypatch):
+    for name in ("_walk_predicate", "cost_simplified", "cost_approx"):
+        monkeypatch.setattr(signum, name, raise_if_called)
+    radii = [*range(5, 601), *(2**k + e for k in range(3, 17) for e in (-1, 1))]
+    for r in radii:
+        want = full_walk_midpoint(r)
+        for variant in CostVariant:
+            trace = generate_quadrant(r, variant)
+            assert (trace.variant, trace.steps) == (variant, want), (variant, r)
+    # approx's domain is refused before the walk, with no predicate to call
+    monkeypatch.setattr(signum, "_walk_hull", raise_if_called)
+    with pytest.raises(ValueError, match="^approx requires radius ≥ 5$"):
+        generate_quadrant(3, "approx")
+
+
+@pytest.mark.slow
+def test_predicate_walks_match_the_hull_walk_far_beyond_512():
+    radii = (10**5, 10**6, 2**20 - 1, 2**20 + 1, *END_COLUMN_TIES[-2:], *DIAGONAL_CELL_TIES[-2:])
+    for r in radii:
+        want = _walk_hull(r)
+        for variant, decide in PREDICATE.items():
+            assert _walk_predicate(r, decide) == want, (variant, r)
 
 
 def test_boundary_radii_solve_their_equations():

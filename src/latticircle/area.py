@@ -42,8 +42,10 @@ def area_recursive(trace: QuadrantTrace) -> int:
 
 
 # The hull walk takes 0.427-0.460 runs per r^(2/3), measured for r from 10^3
-# to 10^8, at about 7 us a run.  A radius whose prediction at the top of that
-# band passes the cap, about 30 s of walking (r near 2.6 * 10^10), is refused.
+# to 10^8 (0.432 at 10^9 and 10^10 + 1).  A run costs 2.6-3.3 us for r from
+# 10^4 to 10^9 and 4.1 us at 10^10 + 1, where r^2 passes 64 bits (in-process,
+# two cores, Python 3.11).  A radius whose prediction at the top of that band
+# passes the cap, about 16 s of walking (r near 2.6 * 10^10), is refused.
 _RUNS_PER_R23 = 0.46
 _MAX_RUNS = 4e6
 
@@ -89,7 +91,8 @@ def inner_outer_areas(r: int) -> tuple[int, int]:
 
     A radius for which 0.46 r^(2/3) runs exceed 4 * 10^6 raises
     OverflowError, naming both, before the walk: 10^10 + 1 (2.1 * 10^6 runs
-    predicted) is walked, and 2^61 (8 * 10^11, some 60 days) is refused.
+    predicted, about 8 s) is walked, and 2^61 (8 * 10^11, over a month at
+    4 us a run) is refused.
     """
     r = read_radius(r)
     runs = _RUNS_PER_R23 * r ** (2 / 3)

@@ -18,6 +18,14 @@ one unit of dl1 per term, is a Riemann sum of the integral of dl1 / (x + y)
 sum is exact, as harmonic numbers over the columns of the path, in
 ``L1Distances.reciprocal_total``.
 
+Cell by cell, A moves against the area.  The path is the boundary
+staircase of C, the cells under it.  Where it turns left, then up, at
+(x - 1, y), the cell [x - 1, x] x [y, y + 1] is a corner that can join C;
+with it the path turns up, then left, so one point moves from (x - 1, y)
+to (x, y + 1), its a_n from s - 1 to s + 1 with s = x + y, and A changes
+by 2 (1/(s + 1) - 1/(s - 1)) = -4/(s^2 - 1).  Removing a corner cell is
+the reverse, +4/(s^2 - 1), for s >= 2.  In 4|C| below, the cell counts 4.
+
 For the constructed path the harmonic mean counts a shifted lattice in a
 disc, as the area does.  Its distances sum to sum(a_n) = 2|C| + r^2, where
 C is the set of cells under the path, and 4|C| = N(rho), the number of
@@ -72,12 +80,24 @@ def pi_sequence(
     Each selector is read by its enum: "signum" reads as its member, and an
     unknown name raises ValueError before any work.
 
-    Only an angle-sampled source can give a sample a_n <= 0, which raises
-    ValueError.  The signum walk never visits the origin, so every a_n >= 1
-    (``generate_quadrant``'s proof) and its samples are not scanned.  Every
-    cost variant runs the same hull walk, so they give the same trace."""
+    Every a_n is positive but for one sample, so no sample is scanned:
+    param-floor at r = 1 raises ValueError before sampling.  The signum
+    walk never visits the origin, so every a_n >= 1 (``generate_quadrant``'s
+    proof).  An angle sample is a = f(u) + f(v) with u = r cos phi,
+    v = r sin phi, phi in [0, pi/2), and f the identity, floor or rounding.
+    As u, v >= 0 and u^2 + v^2 = r^2, max(u, v) >= r / sqrt(2), so
+    param-exact gives a > 0; param-round gives a >= floor(r / sqrt(2) + 1/2)
+    >= 1 for every r >= 1; and param-floor gives a >= floor(r / sqrt(2))
+    >= 1 for every r >= 2.  The float rounding of cos and sin, some
+    10^-16 relative, is far below the margins, 0.41 for floor at r = 2
+    and 0.21 for rounding at r = 1.  At r = 1 the samples are phi = 0,
+    a = 1, and phi = pi/4, where u = v = 0.707..., so floor gives a = 0.
+    Every cost variant runs the same hull walk, so they give the same
+    trace."""
     radius = read_radius(radius)
     source, variant = DiscretizationSource(source), CostVariant(variant)
+    if source is DiscretizationSource.PARAM_FLOOR and radius == 1:
+        raise ValueError("nonpositive Manhattan distance 0 at radius 1")
     if source is DiscretizationSource.SIGNUM:
         l1s: Collection = L1Distances(radius, generate_quadrant(radius, variant).steps)
     else:
@@ -85,9 +105,6 @@ def pi_sequence(
         from latticircle import reference
 
         l1s = reference.param_samples(radius, source)
-        low = min(l1s)
-        if low <= 0:
-            raise ValueError(f"nonpositive Manhattan distance {low} at radius {radius}")
     return PiSequence(radius=radius, source=source, l1_values=l1s)
 
 

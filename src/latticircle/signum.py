@@ -254,7 +254,7 @@ def _hull_runs(r: int, s: int, k: int) -> Iterator[tuple[int, int, int, int, int
     F(i, j) = i^2 + j^2 + s(i + j + 1) - r^2 and s in {0, 1}, as edge runs
     (a, b, m, j, f, P): m steps by the coprime direction (a, b), each from
     (i, j) to (i + a, j - b), ending at height j with F = f, and P = P(a, b),
-    the step pattern of one step.
+    the step pattern of one step, at s = 1; at s = 0, P is b"".
 
     For s = 0, D is the lattice part of the disc of radius r about the
     origin (``area.inner_outer_areas``); for s = 1 it is the cells of the
@@ -320,10 +320,16 @@ def _hull_runs(r: int, s: int, k: int) -> Iterator[tuple[int, int, int, int, int
     prepends P(L).  A pattern per stack entry would cost far more: near
     the top of the circle the stack holds (1, 1), (2, 1), ..., (n, 1),
     with n of order sqrt(r), and their patterns n^2 / 2 bytes.
+
+    Only s = 1 writes steps, so only there does the word start as P(1, 1).
+    At s = 0 it starts empty, every slice and join of it is empty, and
+    each run yields P = b"".  The word steers nothing, so (a, b, m, j, f)
+    are the same, and the walk copies no bytes, where the patterns it
+    yields at s = 1 total sum(a + b), about 0.83k.
     """
     rs = r * r - s  # F(i, j) = i(i + s) + j(j + s) - rs
     i, j, f = 0, r - s, s * (1 - r)
-    stack, word = [(1, 1), (1, 0)], b"\x01\xff"  # P(1, 1); P(1, 0) is its first byte
+    stack, word = [(1, 1), (1, 0)], b"\x01\xff"[: 2 * s]  # P(1, 1) at s = 1; empty at s = 0
     while True:
         a, b = stack.pop()
         # F(P + u) - F(P) along the run, which grows by 2|u|^2 a step

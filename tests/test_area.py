@@ -306,7 +306,7 @@ def test_inner_outer_rejects_bad_radius():
 
 def test_inner_outer_refuses_a_radius_of_months_before_it_walks():
     # 2^61 passes read_radius and holds O(1) memory, but its 8 * 10^11 runs
-    # would take some 60 days; the prediction refuses it at once
+    # would take over a month; the prediction refuses it at once
     def expire(signum, frame):
         raise TimeoutError("inner_outer_areas(2**61) walked")
 

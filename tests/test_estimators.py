@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from array import array
 from collections import Counter
@@ -14,6 +15,7 @@ from latticircle.area import area_recursive
 from latticircle.estimators import (
     ConvergenceRecord,
     Estimator,
+    PiSequence,
     arithmetic_mean_pi,
     arithmetic_mean_pi_exact,
     continuum_mean_closed_form,
@@ -183,6 +185,61 @@ def test_param_sequence_equals_the_per_sample_comprehension(source):
         else:
             assert set(map(type, got)) == {int}, r
             assert got == want, r
+
+
+def test_angle_samples_are_positive_but_one():
+    # the proof in pi_sequence's docstring, which lets it scan no sample:
+    # only param-floor at r = 1 reaches a_n <= 0, at n = 1
+    assert param_samples(1, PARAM_FLOOR) == [1, 0]
+    radii = [*range(2, 2001), *(2**k + d for k in range(11, 19) for d in (-1, 0, 1))]
+    for r in radii:
+        assert min(param_samples(r, PARAM_FLOOR)) >= 1, r
+    for r in [1, *radii]:
+        assert min(param_samples(r, PARAM_ROUND)) >= 1, r
+        assert min(param_samples(r, PARAM_EXACT)) > 0, r
+
+
+def test_param_floor_at_radius_1_raises_before_sampling(monkeypatch):
+    def sample(r, source):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr("latticircle.reference.param_samples", sample)
+    with pytest.raises(ValueError, match=r"^nonpositive Manhattan distance 0 at radius 1$"):
+        pi_sequence(1, PARAM_FLOOR)
+
+
+def staircase_distances(heights):
+    """a_0..a_{2r-1} of the path from (r, 0) to (0, r) that bounds the cell
+    columns H_0 >= ... >= H_{r-1}, H_0 <= r: from the right, up each
+    column's right side and then left across its top, and up the y axis
+    to (0, r) at the end."""
+    r = len(heights)
+    x, y, out = r, 0, []
+    for h in reversed(heights):
+        out += range(x + y, x + h + 1)
+        x, y = x - 1, h
+    return out + [*range(y, r)]
+
+
+def test_a_corner_cell_moves_the_arithmetic_mean_by_four_over_s_squared_less_one():
+    # the per-cell law of the estimators docstring, exactly: adding the
+    # corner cell (i, j), s = i + j + 1, changes A by -4/(s^2 - 1), and
+    # removing one by +4/(s^2 - 1)
+    for r in range(1, 201):
+        rng = random.Random(r)
+        heights = column_heights(r)[:r]
+        assert staircase_distances(heights) == list(pi_sequence(r, SIGNUM).l1_values), r
+        mean = arithmetic_mean_pi_exact(pi_sequence(r, SIGNUM))
+        # (i, H_i) can join C when its left neighbour is in C; (i, H_i - 1)
+        # can leave when its right neighbour is not and its point a = s - 1 >= 1
+        joins = [i for i in range(1, r) if heights[i - 1] > heights[i]]
+        leaves = [i for i in range(r) if (i == r - 1 or heights[i + 1] < heights[i])
+                  and i + heights[i] >= 2]
+        for i, change in [(rng.choice(cells), c) for cells, c in ((joins, 1), (leaves, -1)) if cells]:
+            s = i + heights[i] + (change > 0)
+            moved = heights[:i] + [heights[i] + change] + heights[i + 1 :]
+            seq = PiSequence(r, SIGNUM, staircase_distances(moved))
+            assert arithmetic_mean_pi_exact(seq) - mean == Fraction(-4 * change, s * s - 1), (r, i)
 
 
 @pytest.mark.parametrize("r", [1, 2, 5, 33])

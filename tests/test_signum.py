@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import tracemalloc
@@ -21,6 +22,7 @@ from latticircle.lattice import PointColumns, check_path
 from latticircle.signum import (
     CostVariant,
     QuadrantTrace,
+    _hull_runs,
     _walk_hull,
     _walk_predicate,
     assemble_full_circle,
@@ -545,6 +547,24 @@ def test_hull_walk_cuts_the_tail_at_the_diagonal(r, cut):
     steps = generate_quadrant(r).steps
     assert (steps[r - 1] == 1) == tail  # the diagonal is reached by an up step
     assert steps == full_walk_midpoint(r)
+
+
+@functools.lru_cache(maxsize=None)
+def christoffel_pattern(a, b):
+    """P(a, b) by its definition: for t = 1..a, one up step (0x01) and then
+    d_t = ceil(tb/a) - ceil((t-1)b/a) left steps (0xff)."""
+    return b"".join(b"\x01" + b"\xff" * (-(-t * b // a) + (-(t - 1) * b // a))
+                    for t in range(1, a + 1))
+
+
+def test_hull_runs_yield_the_christoffel_patterns():
+    # checked against the definition, not against the walk's steps, so a
+    # wrong join in the mediant search fails here by itself; at s = 0 the
+    # search carries no pattern and yields b""
+    for r in (*range(1, 2001), *END_COLUMN_TIES, *DIAGONAL_CELL_TIES):
+        assert all(p == b"" for *_, p in _hull_runs(r, 0, math.isqrt(r * r // 2))), r
+        for a, b, _, _, _, p in _hull_runs(r, 1, math.isqrt((r * r - 1) // 2)):
+            assert p == christoffel_pattern(a, b), (r, a, b)
 
 
 def test_hull_walk_at_ten_million():
